@@ -12,10 +12,14 @@
 //! `cargo run -p tm-async-bench --release --bin throughput -- 4096 BENCH_PR6.json`).
 
 use std::collections::HashMap;
+use std::hint::black_box;
 
 use celllib::Library;
 use criterion::{criterion_group, criterion_main, Criterion};
-use datapath::{BatchGoldenModel, BatchInference, ParallelBatchInference, SingleRailDatapath};
+use datapath::{
+    BatchGoldenModel, BatchInference, DualRailDatapath, DualRailInference, EventDrivenInference,
+    InferenceWorkload, ParallelBatchInference, SingleRailDatapath,
+};
 use gatesim::{run_synchronous_vectors, Event, EventQueue, Logic};
 use netlist::{EvalState, Evaluator, NetId};
 use rand::rngs::StdRng;
@@ -62,18 +66,18 @@ fn bench_throughput(c: &mut Criterion) {
                 eval.eval_with_state_into(&map, &mut state, &mut scratch);
                 decisions += usize::from(scratch[greater.index()]);
             }
-            std::hint::black_box(decisions)
+            black_box(decisions)
         })
     });
 
     group.bench_function("batch_golden_model_64x_1024", |b| {
         let mut batch = BatchInference::new(&model).expect("flattening");
-        b.iter(|| std::hint::black_box(batch.run_workload(workload).expect("batched run")))
+        b.iter(|| black_box(batch.run_workload(workload).expect("batched run")))
     });
 
     group.bench_function("parallel_batch_2x_1024", |b| {
         let parallel = ParallelBatchInference::new(&model, 2).expect("flattening");
-        b.iter(|| std::hint::black_box(parallel.run_workload(workload).expect("parallel run")))
+        b.iter(|| black_box(parallel.run_workload(workload).expect("parallel run")))
     });
 
     group.bench_function("event_queue_interleaved_4096", |b| {
@@ -103,152 +107,84 @@ fn bench_throughput(c: &mut Criterion) {
                 }
             }
             while queue.pop().is_some() {}
-            std::hint::black_box(time)
+            black_box(time)
         })
     });
 
-    group.bench_function("event_parallel_2x_16", |b| {
-        // Per-operand event-driven inference (return-to-zero cycles on
-        // the combinational golden model), sharded across two workers.
-        let library = Library::umc_ll();
-        let event_workload = datapath::InferenceWorkload::new(
-            &config,
-            masks.clone(),
-            workload.feature_vectors()[..16].to_vec(),
-        )
-        .expect("sliced workload stays well-formed");
-        let parallel = datapath::EventDrivenInference::new(&model, &library, 2);
-        b.iter(|| {
-            std::hint::black_box(
-                parallel
-                    .run_workload(&event_workload)
-                    .expect("event-driven run"),
-            )
-        })
-    });
-
-    group.bench_function("dualrail_parallel_2x_8", |b| {
-        // Full four-phase handshake cycles on the dual-rail datapath
-        // (C-element latches + reduced completion detection), sharded
-        // across two workers under the verified reset-phase contract.
-        let datapath = datapath::DualRailDatapath::generate(&config).expect("generation");
-        let library = Library::umc_ll();
-        let dualrail_workload = datapath::InferenceWorkload::new(
-            &config,
-            masks.clone(),
-            workload.feature_vectors()[..8].to_vec(),
-        )
-        .expect("sliced workload stays well-formed");
-        let parallel =
-            datapath::DualRailInference::new(&datapath, &library, 2).expect("driver construction");
-        b.iter(|| {
-            std::hint::black_box(
-                parallel
-                    .run_workload(&dualrail_workload)
-                    .expect("dual-rail run"),
-            )
-        })
-    });
-
-    group.bench_function("event_sliced_64", |b| {
-        // One full 64-lane word through the bit-sliced three-valued
-        // event kernel: every net carries all 64 operands as two `u64`
-        // bitplanes, so each popped event settles up to 64 lanes.
-        let library = Library::umc_ll();
-        let event_workload = datapath::InferenceWorkload::new(
-            &config,
-            masks.clone(),
-            workload.feature_vectors()[..64].to_vec(),
-        )
-        .expect("sliced workload stays well-formed");
-        let parallel = datapath::EventDrivenInference::new(&model, &library, 1);
-        b.iter(|| {
-            std::hint::black_box(
-                parallel
-                    .run_workload_sliced(&event_workload)
-                    .expect("sliced event-driven run"),
-            )
-        })
-    });
-
-    group.bench_function("event_sliced_64_metrics_disabled", |b| {
-        // Observability guard: the same 64-lane word as
-        // `event_sliced_64`, on an engine whose instrumentation was
-        // attached and then cleared.  The disabled path is a `None`
-        // branch, so this row must track `event_sliced_64` within
-        // noise — a gap here means the zero-overhead-when-disabled
-        // contract regressed.
-        let library = Library::umc_ll();
-        let event_workload = datapath::InferenceWorkload::new(
-            &config,
-            masks.clone(),
-            workload.feature_vectors()[..64].to_vec(),
-        )
-        .expect("sliced workload stays well-formed");
-        let registry = std::sync::Arc::new(tm_obs::MetricsRegistry::new());
-        let mut parallel = datapath::EventDrivenInference::new(&model, &library, 1);
-        parallel.set_metrics(&registry, "guard");
-        parallel.clear_metrics();
-        b.iter(|| {
-            std::hint::black_box(
-                parallel
-                    .run_workload_sliced(&event_workload)
-                    .expect("sliced event-driven run"),
-            )
-        })
-    });
-
-    group.bench_function("dualrail_sliced_64", |b| {
-        // One full 64-lane word of four-phase handshake cycles on the
-        // dual-rail datapath through the bit-sliced driver.
-        let datapath = datapath::DualRailDatapath::generate(&config).expect("generation");
-        let library = Library::umc_ll();
-        let dualrail_workload = datapath::InferenceWorkload::new(
-            &config,
-            masks.clone(),
-            workload.feature_vectors()[..64].to_vec(),
-        )
-        .expect("sliced workload stays well-formed");
-        let parallel =
-            datapath::DualRailInference::new(&datapath, &library, 1).expect("driver construction");
-        b.iter(|| {
-            std::hint::black_box(
-                parallel
-                    .run_workload_sliced(&dualrail_workload)
-                    .expect("sliced dual-rail run"),
-            )
-        })
-    });
-
-    group.bench_function("dualrail_pipelined_64", |b| {
-        // One 64-token train through the wavefront-pipelined four-phase
-        // driver: each token is injected as soon as the input stage
-        // acknowledges its predecessor's spacer.  Wall-clock cost is the
-        // two-pass profile-guided schedule; the simulated cycle-time win
-        // is recorded in the report this run returns.
-        let datapath = datapath::DualRailDatapath::generate(&config).expect("generation");
-        let library = Library::umc_ll();
-        let dualrail_workload = datapath::InferenceWorkload::new(
-            &config,
-            masks.clone(),
-            workload.feature_vectors()[..64].to_vec(),
-        )
-        .expect("sliced workload stays well-formed");
-        let pipeline_config = dualrail::PipelineConfig {
-            occupancy: dualrail::Occupancy::Max,
-            train_length: 64,
-            ..dualrail::PipelineConfig::default()
-        };
-        let parallel =
-            datapath::DualRailInference::new(&datapath, &library, 1).expect("driver construction");
-        b.iter(|| {
-            std::hint::black_box(
-                parallel
-                    .run_workload_pipelined(&dualrail_workload, pipeline_config)
-                    .expect("pipelined dual-rail run"),
-            )
-        })
-    });
+    // The sharded event-driven and dual-rail engine rows, one per
+    // (engine, kernel) cell: name, operand count, and one run.
+    let library = Library::umc_ll();
+    let dual_datapath = DualRailDatapath::generate(&config).expect("generation");
+    let event = |threads| EventDrivenInference::new(&model, &library, threads);
+    let dual = |threads| {
+        DualRailInference::new(&dual_datapath, &library, threads).expect("driver construction")
+    };
+    let (event_1, event_2, dual_1, dual_2) = (event(1), event(2), dual(1), dual(2));
+    let registry = std::sync::Arc::new(tm_obs::MetricsRegistry::new());
+    let mut event_guard = event(1);
+    event_guard.set_metrics(&registry, "guard");
+    event_guard.clear_metrics();
+    let pipeline_config = dualrail::PipelineConfig {
+        occupancy: dualrail::Occupancy::Max,
+        train_length: 64,
+        ..dualrail::PipelineConfig::default()
+    };
+    type Run<'r> = Box<dyn Fn(&InferenceWorkload) + 'r>;
+    let rows: [(&str, usize, Run); 6] = [
+        (
+            "event_parallel_2x_16",
+            16,
+            Box::new(|w| {
+                black_box(event_2.run_workload(w).expect("event-driven run"));
+            }),
+        ),
+        (
+            "dualrail_parallel_2x_8",
+            8,
+            Box::new(|w| {
+                black_box(dual_2.run_workload(w).expect("dual-rail run"));
+            }),
+        ),
+        (
+            "event_sliced_64",
+            64,
+            Box::new(|w| {
+                black_box(event_1.run_workload_sliced(w).expect("sliced event run"));
+            }),
+        ),
+        (
+            "event_sliced_64_metrics_disabled",
+            64,
+            Box::new(|w| {
+                black_box(
+                    event_guard
+                        .run_workload_sliced(w)
+                        .expect("sliced event run"),
+                );
+            }),
+        ),
+        (
+            "dualrail_sliced_64",
+            64,
+            Box::new(|w| {
+                black_box(dual_1.run_workload_sliced(w).expect("sliced dual-rail run"));
+            }),
+        ),
+        (
+            "dualrail_pipelined_64",
+            64,
+            Box::new(|w| {
+                let run = dual_1.run_workload_pipelined(w, pipeline_config);
+                black_box(run.expect("pipelined dual-rail run"));
+            }),
+        ),
+    ];
+    for (name, operands, run) in &rows {
+        let prefix = workload.feature_vectors()[..*operands].to_vec();
+        let prefix = InferenceWorkload::new(&config, masks.clone(), prefix)
+            .expect("prefix workload stays well-formed");
+        group.bench_function(*name, |b| b.iter(|| run(&prefix)));
+    }
 
     group.bench_function("event_driven_sim_16", |b| {
         let datapath = SingleRailDatapath::generate(&config).expect("generation");
@@ -259,7 +195,7 @@ fn bench_throughput(c: &mut Criterion) {
             .map(|v| datapath.operand_bits(v, masks).expect("widths"))
             .collect();
         b.iter(|| {
-            std::hint::black_box(run_synchronous_vectors(
+            black_box(run_synchronous_vectors(
                 datapath.netlist(),
                 &library,
                 clock.period_ps(),

@@ -50,37 +50,38 @@ fn main() {
         .map(|operand| streamed.apply_operand(operand).expect("protocol cycle"))
         .collect();
 
-    for threads in [1, 2] {
-        let sim = DualRailInference::new(&datapath, &library, threads).expect("driver");
-        let run = sim.run_workload(&workload).expect("dual-rail run");
-        assert_eq!(
-            run.outcomes.as_slice(),
-            workload.expected(),
-            "{threads}-thread outcomes diverged from the golden model"
-        );
-        assert_eq!(
-            run.results, expected,
-            "{threads}-thread results diverged from the streamed driver"
-        );
-        let done = run.done_latency.expect("completion detection present");
-        println!(
-            "threads={threads}: {} operands verified; s→v min {:.1} ps, median {:.1} ps, \
-             max {:.1} ps; done max {:.1} ps",
-            run.latency.count(),
-            run.latency.min_ps(),
-            run.latency.median_ps(),
-            run.latency.max_ps(),
-            done.max_ps()
-        );
-    }
-    // Bit-sliced driver: same workload, 64 handshake cycles per lane
-    // word.  Runs must be golden-verified, identical across thread
-    // counts, and agree with the scalar driver on every per-lane
-    // latency bit.
+    // Each thread count runs the scalar driver and then the bit-sliced
+    // driver (64 handshake cycles per lane word) on the same workload:
+    // both golden-verified, the scalar run bit-identical to the
+    // streamed driver, the sliced run bit-identical to the scalar one on
+    // every per-lane latency and identical across thread counts.
     let mut sliced_runs = Vec::new();
     for threads in [1, 2] {
         let sim = DualRailInference::new(&datapath, &library, threads).expect("driver");
         let scalar = sim.run_workload(&workload).expect("dual-rail run");
+        assert_eq!(
+            scalar.outcomes.as_slice(),
+            workload.expected(),
+            "{threads}-thread outcomes diverged from the golden model"
+        );
+        assert_eq!(
+            scalar.results, expected,
+            "{threads}-thread results diverged from the streamed driver"
+        );
+        let done = scalar
+            .done_latency
+            .as_ref()
+            .expect("completion detection present");
+        println!(
+            "threads={threads}: {} operands verified; s→v min {:.1} ps, median {:.1} ps, \
+             max {:.1} ps; done max {:.1} ps",
+            scalar.latency.count(),
+            scalar.latency.min_ps(),
+            scalar.latency.median_ps(),
+            scalar.latency.max_ps(),
+            done.max_ps()
+        );
+
         let run = sim
             .run_workload_sliced(&workload)
             .expect("sliced dual-rail run");

@@ -14,12 +14,13 @@
 //! A measured-service run of the same trace is also printed (not
 //! asserted) so the log shows real queueing figures for this host.
 //!
-//! The 64-wide bit-sliced backends (`event_sliced`, `dualrail_sliced`)
-//! then serve a shorter fixed-model trace: their reports must be
-//! bit-identical across reruns **and** across backend thread counts —
-//! the sliced engines feed the same golden-verified outcomes through
-//! the same deterministic virtual clock no matter how words are
-//! sharded.
+//! Every kernel of the two simulation adapters (`event_driven`,
+//! `event_sliced`, `dual_rail`, `dualrail_sliced`,
+//! `dualrail_pipelined`) then serves a shorter fixed-model trace: its
+//! reports must be bit-identical across reruns **and** across backend
+//! thread counts — the engines feed the same golden-verified outcomes
+//! through the same deterministic virtual clock no matter how operands,
+//! words or trains are sharded.
 //!
 //! Usage: `cargo run -p tm-async-bench --release --bin serve_smoke
 //! [requests]`
@@ -28,8 +29,8 @@ use celllib::Library;
 use datapath::{BatchGoldenModel, DualRailDatapath};
 use tm_async_bench::workloads::{standard_config, standard_workload};
 use tm_serve::{
-    AdmissionPolicy, Backend, BatchBackend, DualRailSlicedBackend, EventSlicedBackend, ServeConfig,
-    Server, ServiceModel, Trace,
+    AdmissionPolicy, Backend, BatchBackend, DualRailBackend, DualRailKernel, EventDrivenBackend,
+    EventKernel, ServeConfig, Server, ServiceModel, Trace,
 };
 
 fn main() {
@@ -98,15 +99,15 @@ fn main() {
     );
     println!("measured model: {}", measured.summary());
 
-    // Bit-sliced backends: a shorter trace (each request simulates the
+    // Simulation kernels: a shorter trace (each request simulates the
     // whole netlist), fixed service model, replayed at thread counts 1
-    // and 2.  All four reports per backend must be bit-identical.
-    let sliced_requests = (requests / 8).max(32);
-    let sliced_trace = Trace::poisson(sliced_requests, 1e6, 2021);
+    // and 2.  All four reports per kernel must be bit-identical.
+    let sim_requests = (requests / 8).max(32);
+    let sim_trace = Trace::poisson(sim_requests, 1e6, 2021);
     let datapath = DualRailDatapath::generate(&config).expect("datapath generation");
     let library = Library::umc_ll();
 
-    fn verify_sliced_backend<B: Backend + Send>(
+    fn verify_sim_backend<B: Backend + Send>(
         name: &str,
         make_backend: impl Fn(usize) -> B,
         workload: &datapath::InferenceWorkload,
@@ -118,7 +119,7 @@ fn main() {
             let mut server = Server::new(make_backend(threads), workload, config).expect("server");
             server
                 .run(trace)
-                .expect("sliced serve run (every outcome golden-verified internally)")
+                .expect("simulation serve run (every outcome golden-verified internally)")
         };
         let reference = run(1);
         assert_eq!(
@@ -140,31 +141,40 @@ fn main() {
         println!("{name}: {}", reference.summary());
     }
 
-    verify_sliced_backend(
-        "event_sliced",
-        |threads| {
-            EventSlicedBackend::new(&model, &library, workload.masks().clone(), threads)
-                .expect("backend")
-        },
-        workload,
-        fixed,
-        &sliced_trace,
-        sliced_requests,
-    );
-    verify_sliced_backend(
-        "dualrail_sliced",
-        |threads| {
-            DualRailSlicedBackend::new(&datapath, &library, workload.masks().clone(), threads)
-                .expect("backend")
-        },
-        workload,
-        fixed,
-        &sliced_trace,
-        sliced_requests,
-    );
+    let masks = || workload.masks().clone();
+    for kernel in [EventKernel::Scalar, EventKernel::Sliced] {
+        verify_sim_backend(
+            kernel.name(),
+            |threads| {
+                EventDrivenBackend::with_kernel(&model, &library, masks(), threads, kernel)
+                    .expect("backend")
+            },
+            workload,
+            fixed,
+            &sim_trace,
+            sim_requests,
+        );
+    }
+    for kernel in [
+        DualRailKernel::Scalar,
+        DualRailKernel::Sliced,
+        DualRailKernel::Pipelined(dualrail::PipelineConfig::default()),
+    ] {
+        verify_sim_backend(
+            kernel.name(),
+            |threads| {
+                DualRailBackend::with_kernel(&datapath, &library, masks(), threads, kernel)
+                    .expect("backend")
+            },
+            workload,
+            fixed,
+            &sim_trace,
+            sim_requests,
+        );
+    }
 
     println!(
         "\nok: outcomes golden-verified, zero sheds below saturation, deterministic replay \
-         (batch + sliced backends, rerun- and thread-invariant)"
+         (batch backend + every simulation kernel, rerun- and thread-invariant)"
     );
 }

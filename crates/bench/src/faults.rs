@@ -41,7 +41,7 @@ use datapath::{
     decode_operand_run, operand_bit_vectors, BatchGoldenModel, DatapathConfig, DualRailDatapath,
     InferenceOutcome, InferenceWorkload,
 };
-use dualrail::{DualRailError, ProtocolDriver, SlicedProtocolDriver};
+use dualrail::{DualRailError, OperandResult, ProtocolDriver, SlicedProtocolDriver};
 use exec::Executor;
 use gatesim::{
     EngineProgram, FaultPlan, Logic, OperandRun, ParallelEventSim, SettleError, Simulator,
@@ -405,74 +405,33 @@ struct Fixture<'a> {
 }
 
 impl Fixture<'_> {
-    /// Scalar dual-rail: a fresh streamed driver per plan (fault
-    /// overlays install once per instance); the driver is rebuilt after
-    /// a divergence so one oscillating operand cannot contaminate the
-    /// classification of the next.
-    fn run_dualrail_scalar(&self, plan: &FaultPlan) -> Classification {
+    /// Streams the dual-rail operands through one faulted driver per
+    /// plan, `chunk` operands (one operand, or one word) per call:
+    /// `fresh` builds a driver with the plan installed (`None` if the
+    /// fault makes the idle circuit oscillate, so no operand on it can
+    /// ever complete) and `run` drives one chunk.  The driver is rebuilt
+    /// after a diverged chunk so one oscillating operand cannot
+    /// contaminate the classification of the next.
+    fn stream_dualrail<D>(
+        &self,
+        chunk: usize,
+        fresh: impl Fn() -> Option<D>,
+        run: impl Fn(&mut D, &[Vec<bool>]) -> Vec<Result<OperandResult, DualRailError>>,
+    ) -> Classification {
         let mut counts = Classification::default();
         let mut driver = None;
-        for (k, operand) in self.dual_operands.iter().enumerate() {
+        for (index, operands) in self.dual_operands.chunks(chunk).enumerate() {
+            let first = index * chunk;
             if driver.is_none() {
-                let mut fresh = ProtocolDriver::from_program(
-                    self.datapath.circuit(),
-                    Arc::clone(&self.dual_program),
-                )
-                .expect("healthy dual-rail circuit initialises");
-                fresh.enable_phase_rebase();
-                fresh.set_time_horizon_ps(HORIZON_PS);
-                if fresh.set_fault_plan(plan).is_err() {
-                    // The fault makes the idle circuit oscillate; no
-                    // operand on this driver can ever complete.
-                    counts.timeout += self.dual_operands.len() - k;
+                driver = fresh();
+                if driver.is_none() {
+                    counts.timeout += self.dual_operands.len() - first;
                     return counts;
                 }
-                driver = Some(fresh);
-            }
-            let active = driver.as_mut().expect("driver was just built");
-            match active.apply_operand(operand) {
-                Ok(result) => match self.datapath.decode_outcome(&result) {
-                    Err(_) => counts.detected += 1,
-                    Ok(outcome) if outcome == self.golden[k] => counts.masked += 1,
-                    Ok(_) => counts.silent += 1,
-                },
-                Err(error) => {
-                    classify_dualrail_error(&error, &mut counts);
-                    if matches!(error, DualRailError::SimulationDiverged) {
-                        driver = None;
-                    }
-                }
-            }
-        }
-        counts
-    }
-
-    /// Bit-sliced dual-rail: one faulted word driver per plan, words of
-    /// up to [`netlist::LANES`] operands; rebuilt after a diverged word.
-    fn run_dualrail_sliced(&self, plan: &FaultPlan) -> Classification {
-        let mut counts = Classification::default();
-        let mut driver = None;
-        let mut k = 0usize;
-        for word in self.dual_operands.chunks(netlist::LANES) {
-            if driver.is_none() {
-                let sim = SlicedSimulator::from_program(Arc::clone(&self.dual_program));
-                let mut fresh = SlicedProtocolDriver::from_sliced_simulator(
-                    self.datapath.circuit(),
-                    sim,
-                    Arc::clone(&self.dual_snapshot),
-                    false,
-                )
-                .expect("healthy dual-rail circuit initialises");
-                fresh.set_time_horizon_ps(HORIZON_PS);
-                if fresh.set_fault_plan(plan).is_err() {
-                    counts.timeout += self.dual_operands.len() - k;
-                    return counts;
-                }
-                driver = Some(fresh);
             }
             let active = driver.as_mut().expect("driver was just built");
             let mut diverged = false;
-            for result in active.apply_word(word) {
+            for (k, result) in (first..).zip(run(active, operands)) {
                 match result {
                     Ok(result) => match self.datapath.decode_outcome(&result) {
                         Err(_) => counts.detected += 1,
@@ -484,13 +443,51 @@ impl Fixture<'_> {
                         diverged |= matches!(error, DualRailError::SimulationDiverged);
                     }
                 }
-                k += 1;
             }
             if diverged {
                 driver = None;
             }
         }
         counts
+    }
+
+    /// Scalar dual-rail: a fresh streamed driver per plan, one operand
+    /// per cycle.
+    fn run_dualrail_scalar(&self, plan: &FaultPlan) -> Classification {
+        self.stream_dualrail(
+            1,
+            || {
+                let circuit = self.datapath.circuit();
+                let mut fresh =
+                    ProtocolDriver::from_program(circuit, Arc::clone(&self.dual_program))
+                        .expect("healthy dual-rail circuit initialises");
+                fresh.enable_phase_rebase();
+                fresh.set_time_horizon_ps(HORIZON_PS);
+                fresh.set_fault_plan(plan).ok().map(|()| fresh)
+            },
+            |driver, operands| operands.iter().map(|op| driver.apply_operand(op)).collect(),
+        )
+    }
+
+    /// Bit-sliced dual-rail: one faulted word driver per plan, words of
+    /// up to [`netlist::LANES`] operands.
+    fn run_dualrail_sliced(&self, plan: &FaultPlan) -> Classification {
+        self.stream_dualrail(
+            netlist::LANES,
+            || {
+                let sim = SlicedSimulator::from_program(Arc::clone(&self.dual_program));
+                let mut fresh = SlicedProtocolDriver::from_sliced_simulator(
+                    self.datapath.circuit(),
+                    sim,
+                    Arc::clone(&self.dual_snapshot),
+                    false,
+                )
+                .expect("healthy dual-rail circuit initialises");
+                fresh.set_time_horizon_ps(HORIZON_PS);
+                fresh.set_fault_plan(plan).ok().map(|()| fresh)
+            },
+            SlicedProtocolDriver::apply_word,
+        )
     }
 
     fn run_event_scalar(&self, plan: &FaultPlan) -> Classification {

@@ -70,48 +70,34 @@ pub fn engine_metrics_snapshot(operands: usize, seed: u64, threads: usize) -> Me
     let model = BatchGoldenModel::generate(&config).expect("model generation");
     let mut event = EventDrivenInference::new(&model, &library, threads);
     event.set_metrics(&registry, "event");
-    let run = event.run_workload(workload).expect("event-driven run");
-    assert_eq!(run.outcomes.as_slice(), expected, "event outcomes diverged");
-    let run = event
-        .run_workload_sliced(workload)
-        .expect("sliced event-driven run");
-    assert_eq!(
-        run.outcomes.as_slice(),
-        expected,
-        "sliced event outcomes diverged"
-    );
-
     let datapath = DualRailDatapath::generate(&config).expect("datapath generation");
     let mut dual = DualRailInference::new(&datapath, &library, threads).expect("driver");
     dual.set_metrics(&registry, "dualrail");
-    let run = dual.run_workload(workload).expect("dual-rail run");
-    assert_eq!(
-        run.outcomes.as_slice(),
-        expected,
-        "dual-rail outcomes diverged"
-    );
-    let run = dual
-        .run_workload_sliced(workload)
-        .expect("sliced dual-rail run");
-    assert_eq!(
-        run.outcomes.as_slice(),
-        expected,
-        "sliced dual-rail outcomes diverged"
-    );
-    let (run, _report) = dual
-        .run_workload_pipelined(
-            workload,
-            PipelineConfig {
-                occupancy: Occupancy::Max,
-                ..PipelineConfig::default()
-            },
-        )
-        .expect("pipelined dual-rail run");
-    assert_eq!(
-        run.outcomes.as_slice(),
-        expected,
-        "pipelined dual-rail outcomes diverged"
-    );
+    let pipelined = PipelineConfig {
+        occupancy: Occupancy::Max,
+        ..PipelineConfig::default()
+    };
+    let runs = [
+        ("event", event.run_workload(workload).map(|r| r.outcomes)),
+        (
+            "sliced event",
+            event.run_workload_sliced(workload).map(|r| r.outcomes),
+        ),
+        ("dual-rail", dual.run_workload(workload).map(|r| r.outcomes)),
+        (
+            "sliced dual-rail",
+            dual.run_workload_sliced(workload).map(|r| r.outcomes),
+        ),
+        (
+            "pipelined dual-rail",
+            dual.run_workload_pipelined(workload, pipelined)
+                .map(|(r, _)| r.outcomes),
+        ),
+    ];
+    for (engine, outcomes) in runs {
+        let outcomes = outcomes.unwrap_or_else(|e| panic!("{engine} run failed: {e}"));
+        assert_eq!(outcomes.as_slice(), expected, "{engine} outcomes diverged");
+    }
 
     registry.snapshot()
 }

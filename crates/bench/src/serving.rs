@@ -23,9 +23,8 @@
 use celllib::Library;
 use datapath::{BatchGoldenModel, DualRailDatapath, InferenceWorkload};
 use tm_serve::{
-    AdmissionPolicy, Backend, BatchBackend, DualRailBackend, DualRailPipelinedBackend,
-    DualRailSlicedBackend, EventDrivenBackend, EventSlicedBackend, ParallelBatchBackend,
-    ServeConfig, ServeSummary, Server, ServiceModel, Trace,
+    AdmissionPolicy, Backend, BatchBackend, DualRailBackend, DualRailKernel, EventDrivenBackend,
+    EventKernel, ParallelBatchBackend, ServeConfig, ServeSummary, Server, ServiceModel, Trace,
 };
 
 use crate::workloads::{standard_config, standard_workload};
@@ -196,8 +195,26 @@ fn sweep_backend<B: Backend + Send>(
         summary: capacity_run.summary(),
     });
 
-    for (k, &factor) in LOAD_FACTORS.iter().enumerate() {
-        let trace = Trace::poisson(requests, capacity_qps * factor, seed ^ (k as u64 + 1));
+    // Open-loop points: Poisson at each load factor, bursts of 32 at the
+    // capacity knee (stresses admission control and the lanes-full
+    // flush rule), and a deterministic ramp across the knee (0.25x → 2x
+    // capacity).
+    let mut points: Vec<(&str, f64, Trace)> = LOAD_FACTORS
+        .iter()
+        .enumerate()
+        .map(|(k, &factor)| {
+            let trace = Trace::poisson(requests, capacity_qps * factor, seed ^ (k as u64 + 1));
+            ("poisson", factor, trace)
+        })
+        .collect();
+    points.push((
+        "bursty",
+        1.0,
+        Trace::bursty(requests, 32, capacity_qps, seed ^ 0xb),
+    ));
+    let ramp = Trace::ramp(requests, capacity_qps * 0.25, capacity_qps * 2.0);
+    points.push(("ramp", 2.0, ramp));
+    for (pattern, load_factor, trace) in points {
         let mut server = Server::new(make_backend(), workload, config).expect("server");
         let report = server.run(&trace).expect("open-loop serve run");
         assert_eq!(
@@ -213,46 +230,23 @@ fn sweep_backend<B: Backend + Send>(
         // `serve_smoke` CI gate under a fixed service model instead.
         rows.push(ServeRow {
             strategy: strategy.clone(),
-            pattern: "poisson".into(),
-            load_factor: factor,
+            pattern: pattern.into(),
+            load_factor,
             summary: report.summary(),
         });
     }
-
-    // Bursts of 32 at the capacity knee: stresses admission control and
-    // the lanes-full flush rule.
-    let trace = Trace::bursty(requests, 32, capacity_qps, seed ^ 0xb);
-    let mut server = Server::new(make_backend(), workload, config).expect("server");
-    let report = server.run(&trace).expect("bursty serve run");
-    rows.push(ServeRow {
-        strategy: strategy.clone(),
-        pattern: "bursty".into(),
-        load_factor: 1.0,
-        summary: report.summary(),
-    });
-
-    // A deterministic ramp across the knee: 0.25x → 2x capacity.
-    let trace = Trace::ramp(requests, capacity_qps * 0.25, capacity_qps * 2.0);
-    let mut server = Server::new(make_backend(), workload, config).expect("server");
-    let report = server.run(&trace).expect("ramp serve run");
-    rows.push(ServeRow {
-        strategy,
-        pattern: "ramp".into(),
-        load_factor: 2.0,
-        summary: report.summary(),
-    });
 }
 
 /// Runs the serving saturation sweep on `requests` requests per
 /// open-loop point, replaying the standard keyword-spotting workload.
 ///
 /// The fast lane backends (`batch`, `parallel_batch`) serve `requests`
-/// requests per point; the gate-level simulation backends
-/// (`event_driven`, `dual_rail`, their bit-sliced variants
-/// `event_sliced`, `dualrail_sliced`, and the wavefront-pipelined
-/// `dualrail_pipelined`) serve `requests / 8` (min 32) so the sweep
-/// stays tractable — each of their requests simulates the whole
-/// netlist.
+/// requests per point; the gate-level simulation backends — every
+/// kernel of the two simulation adapters (`event_driven`,
+/// `event_sliced`, `dual_rail`, `dualrail_sliced`,
+/// `dualrail_pipelined`), each row named by its backend — serve
+/// `requests / 8` (min 32) so the sweep stays tractable: each of their
+/// requests simulates the whole netlist.
 ///
 /// # Panics
 ///
@@ -287,55 +281,24 @@ pub fn run(requests: usize, seed: u64) -> ServeSweepReport {
         seed,
         &mut rows,
     );
-    sweep_backend(
-        "event_driven",
-        || EventDrivenBackend::new(&model, &library, masks.clone(), 1).expect("backend"),
-        workload,
-        sim_requests,
-        seed,
-        &mut rows,
-    );
-    sweep_backend(
-        "dual_rail",
-        || DualRailBackend::new(&datapath, &library, masks.clone(), 1).expect("backend"),
-        workload,
-        sim_requests,
-        seed,
-        &mut rows,
-    );
-    sweep_backend(
-        "event_sliced",
-        || EventSlicedBackend::new(&model, &library, masks.clone(), 1).expect("backend"),
-        workload,
-        sim_requests,
-        seed,
-        &mut rows,
-    );
-    sweep_backend(
-        "dualrail_sliced",
-        || DualRailSlicedBackend::new(&datapath, &library, masks.clone(), 1).expect("backend"),
-        workload,
-        sim_requests,
-        seed,
-        &mut rows,
-    );
-    sweep_backend(
-        "dualrail_pipelined",
-        || {
-            DualRailPipelinedBackend::new(
-                &datapath,
-                &library,
-                masks.clone(),
-                1,
-                dualrail::PipelineConfig::default(),
-            )
-            .expect("backend")
-        },
-        workload,
-        sim_requests,
-        seed,
-        &mut rows,
-    );
+    for kernel in [EventKernel::Scalar, EventKernel::Sliced] {
+        let make = || {
+            EventDrivenBackend::with_kernel(&model, &library, masks.clone(), 1, kernel)
+                .expect("backend")
+        };
+        sweep_backend(kernel.name(), make, workload, sim_requests, seed, &mut rows);
+    }
+    for kernel in [
+        DualRailKernel::Scalar,
+        DualRailKernel::Sliced,
+        DualRailKernel::Pipelined(dualrail::PipelineConfig::default()),
+    ] {
+        let make = || {
+            DualRailBackend::with_kernel(&datapath, &library, masks.clone(), 1, kernel)
+                .expect("backend")
+        };
+        sweep_backend(kernel.name(), make, workload, sim_requests, seed, &mut rows);
+    }
 
     ServeSweepReport {
         rows,

@@ -18,8 +18,12 @@
 //! (`Arc<EngineProgram>`), each worker owns a private driver instance
 //! over a replicated simulator, operand ranges are claimed dynamically
 //! and merged in operand order
-//! ([`gatesim::ParallelEventSim::run_with`] under
-//! [`gatesim::ShardingContract::ResetPhase`]).  Because every operand
+//! ([`gatesim::ParallelEventSim::shard_with`] under
+//! [`gatesim::ShardingContract::ResetPhase`]).  Every entry point —
+//! scalar or 64-lane sliced, serial or wavefront-pipelined — goes
+//! through one generic body over a crate-private worker-driver trait;
+//! the public methods only choose the worker driver and its chunking.
+//! Because every operand
 //! cycle is rebased to time zero and starts from the verified quiescent
 //! state, the decoded outputs *and* every per-operand measurement
 //! (spacer→valid, valid→spacer and `done` latencies) are bit-identical
@@ -56,7 +60,7 @@ use std::sync::Arc;
 
 use celllib::Library;
 use exec::Executor;
-use gatesim::{EngineProgram, LatencyReport, Logic, ParallelEventSim, PipelineReport, Simulator};
+use gatesim::{EngineProgram, LatencyReport, Logic, ParallelEventSim, PipelineReport, Replica};
 use sta::GracePeriod;
 
 use crate::{
@@ -140,19 +144,6 @@ impl<'a> ParallelProtocolDriver<'a> {
         library: &Library,
         threads: usize,
     ) -> Result<Self, DualRailError> {
-        Self::with_executor(circuit, library, Executor::new(threads))
-    }
-
-    /// Like [`ParallelProtocolDriver::new`] with an explicit executor.
-    ///
-    /// # Errors
-    ///
-    /// See [`ParallelProtocolDriver::new`].
-    pub fn with_executor(
-        circuit: &'a DualRailNetlist,
-        library: &Library,
-        executor: Executor,
-    ) -> Result<Self, DualRailError> {
         let observed = circuit.observed_output_nets();
         let grace = GracePeriod::compute(circuit.netlist(), library, &observed).ok();
         let program = Arc::new(EngineProgram::new(circuit.netlist(), library));
@@ -171,7 +162,7 @@ impl<'a> ParallelProtocolDriver<'a> {
         // sequential; sharding is sound because — and only because — the
         // verified reset-phase contract restores one quiescent state per
         // cycle.
-        let sim = ParallelEventSim::assume_reset_phase(program, executor);
+        let sim = ParallelEventSim::assume_reset_phase(program, Executor::new(threads));
         Ok(Self {
             circuit,
             sim,
@@ -200,14 +191,6 @@ impl<'a> ParallelProtocolDriver<'a> {
     pub fn clear_metrics(&mut self) {
         self.sim.clear_metrics();
         self.metrics = None;
-    }
-
-    /// Protocol-level handles for one worker-driver kind, if a registry
-    /// is set.
-    fn protocol_metrics(&self, kind: &str) -> Option<tm_obs::ProtocolMetrics> {
-        self.metrics.as_ref().map(|(registry, prefix)| {
-            tm_obs::ProtocolMetrics::register(registry, &format!("{prefix}.{kind}.protocol"))
-        })
     }
 
     /// Number of worker threads the operand stream is sharded across.
@@ -262,28 +245,13 @@ impl<'a> ParallelProtocolDriver<'a> {
         &self,
         operands: &[Vec<bool>],
     ) -> Result<ParallelProtocolRun, DualRailError> {
-        let circuit = self.circuit;
-        let snapshot = &self.snapshot;
-        let check_monotonic = self.check_monotonic;
-        let metrics = self.protocol_metrics("scalar");
-        let results = self.sim.run_with(
-            operands,
-            |sim: Simulator<'a>| -> Result<ProtocolDriver<'a>, DualRailError> {
-                let mut driver = ProtocolDriver::from_simulator(circuit, sim)?;
-                driver.set_monotonicity_check(check_monotonic);
-                driver.enable_reset_contract(Arc::clone(snapshot));
-                if let Some(handles) = metrics.clone() {
-                    driver.attach_protocol_metrics(handles);
-                }
-                Ok(driver)
-            },
-            |driver, operand: &Vec<bool>| match driver {
-                Ok(driver) => driver.apply_operand(operand),
-                Err(error) => Err(error.clone()),
-            },
-        );
-        let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok(ParallelProtocolRun::from_results(results))
+        self.run_sharded(operands, None, |sim| {
+            let mut driver = ProtocolDriver::from_simulator(self.circuit, sim)?;
+            driver.set_monotonicity_check(self.check_monotonic);
+            driver.enable_reset_contract(Arc::clone(&self.snapshot));
+            Ok(driver)
+        })
+        .map(ParallelProtocolRun::from_results)
     }
 
     /// Like [`ParallelProtocolDriver::run_workload`], but on the
@@ -311,38 +279,15 @@ impl<'a> ParallelProtocolDriver<'a> {
         &self,
         operands: &[Vec<bool>],
     ) -> Result<ParallelProtocolRun, DualRailError> {
-        let circuit = self.circuit;
-        let snapshot = &self.snapshot;
-        let check_monotonic = self.check_monotonic;
-        let metrics = self.protocol_metrics("sliced");
-        let results = self.sim.run_words_with(
-            operands,
-            |sim| -> Result<SlicedProtocolDriver<'a>, DualRailError> {
-                let mut driver = SlicedProtocolDriver::from_sliced_simulator(
-                    circuit,
-                    sim,
-                    Arc::clone(snapshot),
-                    check_monotonic,
-                )?;
-                if let Some(handles) = metrics.clone() {
-                    driver.attach_protocol_metrics(handles);
-                }
-                Ok(driver)
-            },
-            |driver, word: &[Vec<bool>]| match driver {
-                Ok(driver) => driver.apply_word(word),
-                Err(error) => word.iter().map(|_| Err(error.clone())).collect(),
-            },
-        );
-        let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok(ParallelProtocolRun::from_results(results))
-    }
-
-    /// The wavefront timing bounds the pipelined entry points schedule
-    /// against, if the analysis succeeded at construction.
-    #[must_use]
-    pub fn wavefront_timing(&self) -> Option<&WavefrontTiming> {
-        self.timing.as_ref().ok()
+        self.run_sharded(operands, None, |sim| {
+            SlicedProtocolDriver::from_sliced_simulator(
+                self.circuit,
+                sim,
+                Arc::clone(&self.snapshot),
+                self.check_monotonic,
+            )
+        })
+        .map(ParallelProtocolRun::from_results)
     }
 
     /// Like [`ParallelProtocolDriver::run_workload`], but each worker
@@ -377,36 +322,17 @@ impl<'a> ParallelProtocolDriver<'a> {
         operands: &[Vec<bool>],
         config: PipelineConfig,
     ) -> Result<(ParallelProtocolRun, PipelineReport), DualRailError> {
-        let circuit = self.circuit;
         let timing = self.timing.clone()?;
-        let check_monotonic = self.check_monotonic;
-        let train_len = config.train_length.max(1);
-        let metrics = self.protocol_metrics("scalar");
-        let results = self.sim.run_trains_with(
-            operands,
-            train_len,
-            |sim: Simulator<'a>| -> Result<PipelinedProtocolDriver<'a>, DualRailError> {
-                let mut driver = PipelinedProtocolDriver::from_simulator_with_timing(
-                    circuit,
-                    sim,
-                    timing.clone(),
-                    config,
-                )?;
-                driver.set_monotonicity_check(check_monotonic);
-                if let Some(handles) = metrics.clone() {
-                    driver.attach_protocol_metrics(handles);
-                }
-                Ok(driver)
-            },
-            |driver, train: &[Vec<bool>]| match driver {
-                Ok(driver) => match driver.run_train(train) {
-                    Ok(results) => results.into_iter().map(Ok).collect(),
-                    Err(error) => train.iter().map(|_| Err(error.clone())).collect(),
-                },
-                Err(error) => train.iter().map(|_| Err(error.clone())).collect(),
-            },
-        );
-        let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let results = self.run_sharded(operands, Some(config.train_length.max(1)), |sim| {
+            let mut driver = PipelinedProtocolDriver::from_simulator_with_timing(
+                self.circuit,
+                sim,
+                timing.clone(),
+                config,
+            )?;
+            driver.set_monotonicity_check(self.check_monotonic);
+            Ok(driver)
+        })?;
         let report = pipeline_report(&results, &timing, config);
         Ok((ParallelProtocolRun::from_results(results), report))
     }
@@ -429,40 +355,85 @@ impl<'a> ParallelProtocolDriver<'a> {
         operands: &[Vec<bool>],
         config: PipelineConfig,
     ) -> Result<(ParallelProtocolRun, PipelineReport), DualRailError> {
-        let circuit = self.circuit;
-        let snapshot = &self.snapshot;
         let timing = self.timing.clone()?;
-        let check_monotonic = self.check_monotonic;
-        let words_per_train = config.train_length.max(1);
-        let metrics = self.protocol_metrics("sliced");
-        let results = self.sim.run_word_trains_with(
+        let results = self.run_sharded(operands, Some(config.train_length.max(1)), |sim| {
+            SlicedPipelinedProtocolDriver::from_sliced_simulator(
+                self.circuit,
+                sim,
+                Arc::clone(&self.snapshot),
+                timing.clone(),
+                config,
+                self.check_monotonic,
+            )
+        })?;
+        let report = pipeline_report(&results, &timing, config);
+        Ok((ParallelProtocolRun::from_results(results), report))
+    }
+
+    /// The one body every entry point shares: each worker builds its
+    /// driver `D` once over a fresh replica (`build`), attaches the
+    /// protocol counters under `"<prefix>.<scope>.protocol.*"`, and
+    /// drives every chunk it claims ([`ParallelEventSim::shard_with`]
+    /// chunking: `train: None` load-balances, `Some(n)` claims fixed
+    /// trains of `n` settles).  A driver that fails to build reports
+    /// its error for every operand it would have run; the first error
+    /// in operand order is returned.
+    fn run_sharded<D: WorkerDriver<'a>>(
+        &self,
+        operands: &[Vec<bool>],
+        train: Option<usize>,
+        build: impl Fn(D::Replica) -> Result<D, DualRailError> + Sync,
+    ) -> Result<Vec<OperandResult>, DualRailError> {
+        let metrics = self.metrics.as_ref().map(|(registry, prefix)| {
+            let scope = <D::Replica as Replica<'a>>::SCOPE;
+            tm_obs::ProtocolMetrics::register(registry, &format!("{prefix}.{scope}.protocol"))
+        });
+        let results = self.sim.shard_with(
             operands,
-            words_per_train,
-            |sim| -> Result<SlicedPipelinedProtocolDriver<'a>, DualRailError> {
-                let mut driver = SlicedPipelinedProtocolDriver::from_sliced_simulator(
-                    circuit,
-                    sim,
-                    Arc::clone(snapshot),
-                    timing.clone(),
-                    config,
-                    check_monotonic,
-                )?;
+            train,
+            |sim| {
+                let mut driver = build(sim)?;
                 if let Some(handles) = metrics.clone() {
                     driver.attach_protocol_metrics(handles);
                 }
                 Ok(driver)
             },
-            |driver, train: &[Vec<bool>]| match driver {
-                Ok(driver) => match driver.run_train(train) {
-                    Ok(results) => results.into_iter().map(Ok).collect(),
-                    Err(error) => train.iter().map(|_| Err(error.clone())).collect(),
-                },
-                Err(error) => train.iter().map(|_| Err(error.clone())).collect(),
+            |driver: &mut Result<D, DualRailError>, chunk| match driver {
+                Ok(driver) => driver.run_chunk(chunk),
+                Err(error) => per_operand(Err(error.clone()), chunk.len()),
             },
         );
-        let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let report = pipeline_report(&results, &timing, config);
-        Ok((ParallelProtocolRun::from_results(results), report))
+        results.into_iter().collect()
+    }
+}
+
+/// A per-worker protocol driver the sharded entry points replicate
+/// (implemented by the scalar, sliced and both wavefront-pipelined
+/// drivers, next to each driver).
+pub(crate) trait WorkerDriver<'a> {
+    /// The engine instance the driver wraps.
+    type Replica: Replica<'a>;
+
+    /// Drives one claimed chunk — operands, a word, or a train — and
+    /// returns one result per operand, in operand order.
+    fn run_chunk(&mut self, chunk: &[Vec<bool>]) -> Vec<Result<OperandResult, DualRailError>>;
+
+    /// Attaches **only** the protocol-level handles: the engine-level
+    /// instruments are already attached by the sharding hook at
+    /// replica construction.
+    fn attach_protocol_metrics(&mut self, handles: tm_obs::ProtocolMetrics);
+}
+
+/// Spreads a chunk-level outcome over the chunk's `len` operands: the
+/// per-operand results pass through, a chunk-level error (a failed
+/// train, a worker that could not build) repeats for every operand.
+pub(crate) fn per_operand(
+    outcome: Result<Vec<OperandResult>, DualRailError>,
+    len: usize,
+) -> Vec<Result<OperandResult, DualRailError>> {
+    match outcome {
+        Ok(results) => results.into_iter().map(Ok).collect(),
+        Err(error) => vec![Err(error); len],
     }
 }
 
@@ -489,11 +460,12 @@ fn pipeline_report(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ReducedCompletion;
 
-    fn and_or_circuit() -> DualRailNetlist {
+    /// `y = a·b + c` with reduced completion detection.
+    pub(crate) fn and_or_circuit() -> DualRailNetlist {
         let mut dr = DualRailNetlist::new("t");
         let a = dr.add_dual_input("a");
         let b = dr.add_dual_input("b");
@@ -505,7 +477,8 @@ mod tests {
         dr
     }
 
-    fn workload(width: usize, operands: usize) -> Vec<Vec<bool>> {
+    /// `operands` operands counting up in binary, `width` bits each.
+    pub(crate) fn workload(width: usize, operands: usize) -> Vec<Vec<bool>> {
         (0..operands as u32)
             .map(|p| (0..width).map(|i| p & (1 << i) != 0).collect())
             .collect()

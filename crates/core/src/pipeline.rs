@@ -100,10 +100,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use celllib::Library;
-use gatesim::{EngineProgram, Logic, Simulator, SlicedSimulator, StepOutcome};
+use gatesim::{Logic, Simulator, SlicedSimulator, StepOutcome};
 use netlist::{topological_order, CellKind, NetId, NetlistError, LANES};
 use sta::ArrivalAnalysis;
 
+use crate::parallel::{per_operand, WorkerDriver};
 use crate::protocol::ProtocolDriver;
 use crate::sliced::SlicedProtocolDriver;
 use crate::{DualRailError, DualRailNetlist, DualRailValue, OneOfNValue, OperandResult};
@@ -969,25 +970,6 @@ impl<'a> PipelinedProtocolDriver<'a> {
         Self::from_driver(inner, timing, config)
     }
 
-    /// Creates a pipelined driver over a shared engine compilation and
-    /// precomputed timing bounds — the replication primitive behind the
-    /// sharded workload runner (workers carry no library, so the bounds
-    /// are computed once and cloned in).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ProtocolDriver::from_program`] initialisation
-    /// errors.
-    pub fn from_program_with_timing(
-        circuit: &'a DualRailNetlist,
-        program: Arc<EngineProgram<'a>>,
-        timing: WavefrontTiming,
-        config: PipelineConfig,
-    ) -> Result<Self, DualRailError> {
-        let inner = ProtocolDriver::from_program(circuit, program)?;
-        Self::from_driver(inner, timing, config)
-    }
-
     /// Creates a pipelined driver around an existing simulator instance
     /// and precomputed timing bounds — the worker-side constructor for
     /// [`crate::ParallelProtocolDriver::run_workload_pipelined`], whose
@@ -1076,12 +1058,6 @@ impl<'a> PipelinedProtocolDriver<'a> {
     #[must_use]
     pub fn metrics_attached(&self) -> bool {
         self.inner.metrics_attached()
-    }
-
-    /// Attaches only the protocol-level handles (the sharded runner's
-    /// worker path; see [`ProtocolDriver::attach_protocol_metrics`]).
-    pub(crate) fn attach_protocol_metrics(&mut self, handles: tm_obs::ProtocolMetrics) {
-        self.inner.attach_protocol_metrics(handles);
     }
 
     /// Installs a [`tm_obs::WaveProbe`] on the underlying simulator
@@ -1548,6 +1524,18 @@ impl<'a> PipelinedProtocolDriver<'a> {
     }
 }
 
+impl<'a> WorkerDriver<'a> for PipelinedProtocolDriver<'a> {
+    type Replica = Simulator<'a>;
+
+    fn run_chunk(&mut self, train: &[Vec<bool>]) -> Vec<Result<OperandResult, DualRailError>> {
+        per_operand(self.run_train(train), train.len())
+    }
+
+    fn attach_protocol_metrics(&mut self, handles: tm_obs::ProtocolMetrics) {
+        self.inner.attach_protocol_metrics(handles);
+    }
+}
+
 /// 64-lane transition recorder: diffs each watched net's value/unknown
 /// bit-planes per time slice and logs per-lane changes.
 struct SlicedTransitionLog {
@@ -1711,12 +1699,6 @@ impl<'a> SlicedPipelinedProtocolDriver<'a> {
     #[must_use]
     pub fn metrics_attached(&self) -> bool {
         self.inner.metrics_attached()
-    }
-
-    /// Attaches only the protocol-level handles (the sharded runner's
-    /// worker path; see [`SlicedProtocolDriver::attach_protocol_metrics`]).
-    pub(crate) fn attach_protocol_metrics(&mut self, handles: tm_obs::ProtocolMetrics) {
-        self.inner.attach_protocol_metrics(handles);
     }
 
     /// Bounds each word token by simulated time; the schedule slides
@@ -1986,5 +1968,17 @@ impl<'a> SlicedPipelinedProtocolDriver<'a> {
         self.inner.sim_mut().flush_metrics();
 
         Ok(results)
+    }
+}
+
+impl<'a> WorkerDriver<'a> for SlicedPipelinedProtocolDriver<'a> {
+    type Replica = SlicedSimulator<'a>;
+
+    fn run_chunk(&mut self, train: &[Vec<bool>]) -> Vec<Result<OperandResult, DualRailError>> {
+        per_operand(self.run_train(train), train.len())
+    }
+
+    fn attach_protocol_metrics(&mut self, handles: tm_obs::ProtocolMetrics) {
+        self.inner.attach_protocol_metrics(handles);
     }
 }

@@ -43,6 +43,7 @@ use gatesim::{EngineProgram, FaultPlan, LatencyStats, Logic, Simulator};
 use netlist::NetId;
 use sta::GracePeriod;
 
+use crate::parallel::WorkerDriver;
 use crate::{DualRailError, DualRailNetlist, DualRailValue, OneOfNValue};
 
 /// Decoded primary outputs of one protocol cycle: the dual-rail output
@@ -323,14 +324,6 @@ impl<'a> ProtocolDriver<'a> {
     /// driver records stall slices through it).
     pub(crate) fn protocol_metrics(&self) -> Option<&tm_obs::ProtocolMetrics> {
         self.metrics.as_deref()
-    }
-
-    /// Attaches **only** the protocol-level handles — the sharded
-    /// runner's worker path, where the engine-level instruments are
-    /// already attached by the parallel harness at simulator
-    /// construction.
-    pub(crate) fn attach_protocol_metrics(&mut self, handles: tm_obs::ProtocolMetrics) {
-        self.metrics = Some(Box::new(handles));
     }
 
     /// Installs a [`tm_obs::WaveProbe`] on the underlying simulator;
@@ -780,6 +773,21 @@ impl<'a> ProtocolDriver<'a> {
             results.push(result);
         }
         Ok((stats, results))
+    }
+}
+
+impl<'a> WorkerDriver<'a> for ProtocolDriver<'a> {
+    type Replica = Simulator<'a>;
+
+    fn run_chunk(&mut self, chunk: &[Vec<bool>]) -> Vec<Result<OperandResult, DualRailError>> {
+        chunk
+            .iter()
+            .map(|operand| self.apply_operand(operand))
+            .collect()
+    }
+
+    fn attach_protocol_metrics(&mut self, handles: tm_obs::ProtocolMetrics) {
+        self.metrics = Some(Box::new(handles));
     }
 }
 

@@ -38,6 +38,7 @@ use std::sync::Arc;
 use gatesim::{lane_mask, Logic, SlicedSimulator};
 use netlist::{NetId, LANES};
 
+use crate::parallel::WorkerDriver;
 use crate::protocol::ProtocolDriver;
 use crate::{DualRailError, DualRailNetlist, DualRailValue, OneOfNValue, OperandResult};
 
@@ -185,14 +186,6 @@ impl<'a> SlicedProtocolDriver<'a> {
     /// pipelined driver records stall slices through it).
     pub(crate) fn protocol_metrics(&self) -> Option<&tm_obs::ProtocolMetrics> {
         self.metrics.as_deref()
-    }
-
-    /// Attaches **only** the protocol-level handles — the sharded
-    /// runner's worker path, where the engine-level instruments are
-    /// already attached by the parallel harness at simulator
-    /// construction.
-    pub(crate) fn attach_protocol_metrics(&mut self, handles: tm_obs::ProtocolMetrics) {
-        self.metrics = Some(Box::new(handles));
     }
 
     /// Installs a [`tm_obs::WaveProbe`] following a single `lane` of
@@ -646,6 +639,18 @@ impl<'a> SlicedProtocolDriver<'a> {
     }
 }
 
+impl<'a> WorkerDriver<'a> for SlicedProtocolDriver<'a> {
+    type Replica = SlicedSimulator<'a>;
+
+    fn run_chunk(&mut self, word: &[Vec<bool>]) -> Vec<Result<OperandResult, DualRailError>> {
+        self.apply_word(word)
+    }
+
+    fn attach_protocol_metrics(&mut self, handles: tm_obs::ProtocolMetrics) {
+        self.metrics = Some(Box::new(handles));
+    }
+}
+
 /// Builds the streamed scalar reference for the sliced driver: a
 /// contract-mode [`ProtocolDriver`] with phase rebasing enabled, whose
 /// per-operand results are **bit-identical** to [`SlicedProtocolDriver`]
@@ -670,27 +675,10 @@ pub fn rebased_reference_driver<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ParallelProtocolDriver, ReducedCompletion};
+    use crate::parallel::tests::{and_or_circuit, workload};
+    use crate::ParallelProtocolDriver;
     use celllib::Library;
     use gatesim::EngineProgram;
-
-    fn and_or_circuit() -> DualRailNetlist {
-        let mut dr = DualRailNetlist::new("t");
-        let a = dr.add_dual_input("a");
-        let b = dr.add_dual_input("b");
-        let c = dr.add_dual_input("c");
-        let ab = dr.and2("ab", a, b).unwrap();
-        let y = dr.or2("y", ab, c).unwrap();
-        dr.add_dual_output("y", y);
-        ReducedCompletion::insert(&mut dr).unwrap();
-        dr
-    }
-
-    fn workload(width: usize, operands: usize) -> Vec<Vec<bool>> {
-        (0..operands as u32)
-            .map(|p| (0..width).map(|i| p & (1 << i) != 0).collect())
-            .collect()
-    }
 
     /// Streamed scalar reference in the sliced driver's own timebase:
     /// contract mode with phase rebasing.

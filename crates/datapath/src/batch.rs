@@ -237,11 +237,14 @@ impl<'a> BatchInference<'a> {
     }
 }
 
-/// Verifies that `masks` match `config`.
-pub(crate) fn check_masks(
-    config: &DatapathConfig,
-    masks: &ExcludeMasks,
-) -> Result<(), DatapathError> {
+/// Verifies that `masks` match `config` — the check every engine (and
+/// every serving adapter, at construction) applies before running.
+///
+/// # Errors
+///
+/// Returns [`DatapathError::WidthMismatch`] naming the mask feature
+/// count or clause count that disagrees with `config`.
+pub fn check_masks(config: &DatapathConfig, masks: &ExcludeMasks) -> Result<(), DatapathError> {
     if masks.feature_count() != config.features() {
         return Err(DatapathError::WidthMismatch {
             what: "exclude masks",

@@ -44,8 +44,7 @@
 //! ```
 
 use celllib::Library;
-use dualrail::{OperandResult, ParallelProtocolDriver};
-use exec::Executor;
+use dualrail::{OperandResult, ParallelProtocolDriver, ParallelProtocolRun};
 use gatesim::{LatencyReport, PipelineReport};
 
 use crate::builder::DualRailDatapath;
@@ -97,19 +96,6 @@ impl<'a> DualRailInference<'a> {
         library: &Library,
         threads: usize,
     ) -> Result<Self, DatapathError> {
-        Self::with_executor(datapath, library, Executor::new(threads))
-    }
-
-    /// Like [`DualRailInference::new`] with an explicit executor.
-    ///
-    /// # Errors
-    ///
-    /// See [`DualRailInference::new`].
-    pub fn with_executor(
-        datapath: &'a DualRailDatapath,
-        library: &Library,
-        executor: Executor,
-    ) -> Result<Self, DatapathError> {
         // Arm the static pre-flight verifier before the first driver is
         // built: from here on, every `ProtocolDriver` constructed in
         // this process rejects netlists with error-severity findings
@@ -117,7 +103,7 @@ impl<'a> DualRailInference<'a> {
         // single event.  Shipped datapaths verify clean; the hook
         // guards hand-edited or retrained netlists.
         tm_lint::preflight::install();
-        let driver = ParallelProtocolDriver::with_executor(datapath.circuit(), library, executor)?;
+        let driver = ParallelProtocolDriver::new(datapath.circuit(), library, threads)?;
         Ok(Self { driver, datapath })
     }
 
@@ -182,23 +168,10 @@ impl<'a> DualRailInference<'a> {
         masks: &tsetlin::ExcludeMasks,
         feature_vectors: &[V],
     ) -> Result<DualRailRun, DatapathError> {
-        let operands = feature_vectors
-            .iter()
-            .map(|v| self.datapath.operand_bits(v.as_ref(), masks))
-            .collect::<Result<Vec<_>, _>>()?;
-        let run = self.driver.run_workload(&operands)?;
-        let outcomes = run
-            .results
-            .iter()
-            .map(|result| self.datapath.decode_outcome(result))
-            .collect::<Result<Vec<_>, _>>()?;
-        let done_latency = run.done_latency();
-        Ok(DualRailRun {
-            outcomes,
-            latency: run.latency,
-            done_latency,
-            results: run.results,
+        self.run_encoded(masks, feature_vectors, |driver, operands| {
+            Ok((driver.run_workload(operands)?, ()))
         })
+        .map(|(run, ())| run)
     }
 
     /// Like [`DualRailInference::run_workload`], but 64 operand lanes
@@ -232,23 +205,10 @@ impl<'a> DualRailInference<'a> {
         masks: &tsetlin::ExcludeMasks,
         feature_vectors: &[V],
     ) -> Result<DualRailRun, DatapathError> {
-        let operands = feature_vectors
-            .iter()
-            .map(|v| self.datapath.operand_bits(v.as_ref(), masks))
-            .collect::<Result<Vec<_>, _>>()?;
-        let run = self.driver.run_workload_sliced(&operands)?;
-        let outcomes = run
-            .results
-            .iter()
-            .map(|result| self.datapath.decode_outcome(result))
-            .collect::<Result<Vec<_>, _>>()?;
-        let done_latency = run.done_latency();
-        Ok(DualRailRun {
-            outcomes,
-            latency: run.latency,
-            done_latency,
-            results: run.results,
+        self.run_encoded(masks, feature_vectors, |driver, operands| {
+            Ok((driver.run_workload_sliced(operands)?, ()))
         })
+        .map(|(run, ())| run)
     }
 
     /// Like [`DualRailInference::run_workload`], but wavefront-pipelined
@@ -287,24 +247,9 @@ impl<'a> DualRailInference<'a> {
         feature_vectors: &[V],
         config: dualrail::PipelineConfig,
     ) -> Result<(DualRailRun, PipelineReport), DatapathError> {
-        let operands = feature_vectors
-            .iter()
-            .map(|v| self.datapath.operand_bits(v.as_ref(), masks))
-            .collect::<Result<Vec<_>, _>>()?;
-        let (run, report) = self.driver.run_workload_pipelined(&operands, config)?;
-        let outcomes = run
-            .results
-            .iter()
-            .map(|result| self.datapath.decode_outcome(result))
-            .collect::<Result<Vec<_>, _>>()?;
-        let done_latency = run.done_latency();
-        let run = DualRailRun {
-            outcomes,
-            latency: run.latency,
-            done_latency,
-            results: run.results,
-        };
-        Ok((run, report))
+        self.run_encoded(masks, feature_vectors, |driver, operands| {
+            driver.run_workload_pipelined(operands, config)
+        })
     }
 
     /// Like [`DualRailInference::run_workload_pipelined`], but 64
@@ -323,14 +268,31 @@ impl<'a> DualRailInference<'a> {
         workload: &InferenceWorkload,
         config: dualrail::PipelineConfig,
     ) -> Result<(DualRailRun, PipelineReport), DatapathError> {
-        let operands = workload
-            .feature_vectors()
+        self.run_encoded(
+            workload.masks(),
+            workload.feature_vectors(),
+            |driver, operands| driver.run_workload_pipelined_sliced(operands, config),
+        )
+    }
+
+    /// The one body every entry point shares: encode each feature
+    /// vector with `masks` into dual-rail operand bits, `run` them on
+    /// the sharded driver, decode every result and assemble the
+    /// [`DualRailRun`] (plus whatever extra report `run` returns).
+    fn run_encoded<V: AsRef<[bool]>, X>(
+        &self,
+        masks: &tsetlin::ExcludeMasks,
+        feature_vectors: &[V],
+        run: impl FnOnce(
+            &ParallelProtocolDriver<'a>,
+            &[Vec<bool>],
+        ) -> Result<(ParallelProtocolRun, X), dualrail::DualRailError>,
+    ) -> Result<(DualRailRun, X), DatapathError> {
+        let operands = feature_vectors
             .iter()
-            .map(|v| self.datapath.operand_bits(v.as_ref(), workload.masks()))
+            .map(|v| self.datapath.operand_bits(v.as_ref(), masks))
             .collect::<Result<Vec<_>, _>>()?;
-        let (run, report) = self
-            .driver
-            .run_workload_pipelined_sliced(&operands, config)?;
+        let (run, extra) = run(&self.driver, &operands)?;
         let outcomes = run
             .results
             .iter()
@@ -343,7 +305,7 @@ impl<'a> DualRailInference<'a> {
             done_latency,
             results: run.results,
         };
-        Ok((run, report))
+        Ok((run, extra))
     }
 }
 

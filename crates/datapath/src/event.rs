@@ -42,7 +42,7 @@
 
 use celllib::Library;
 use exec::Executor;
-use gatesim::{LatencyReport, Logic, OperandRun, ParallelEventSim};
+use gatesim::{FaultPlan, LatencyReport, Logic, OperandRun, ParallelEventSim, SettleError};
 use tsetlin::ExcludeMasks;
 
 use crate::batch::{check_masks, BatchGoldenModel};
@@ -80,20 +80,9 @@ impl<'a> EventDrivenInference<'a> {
     /// and prepares `threads` workers (clamped to at least 1).
     #[must_use]
     pub fn new(model: &'a BatchGoldenModel, library: &Library, threads: usize) -> Self {
-        Self::with_executor(model, library, Executor::new(threads))
-    }
-
-    /// Like [`EventDrivenInference::new`] with an explicit executor.
-    #[must_use]
-    pub fn with_executor(
-        model: &'a BatchGoldenModel,
-        library: &Library,
-        executor: Executor,
-    ) -> Self {
-        use std::sync::Arc;
-        let program = Arc::new(gatesim::EngineProgram::new(model.netlist(), library));
+        let program = std::sync::Arc::new(gatesim::EngineProgram::new(model.netlist(), library));
         Self {
-            sim: ParallelEventSim::from_program(program, executor),
+            sim: ParallelEventSim::from_program(program, Executor::new(threads)),
             config: *model.config(),
         }
     }
@@ -133,7 +122,8 @@ impl<'a> EventDrivenInference<'a> {
     ///
     /// Returns width mismatches for masks that do not match the model's
     /// configuration and decode failures if a settled operand's
-    /// comparator outputs are not one-hot or any output is X.
+    /// comparator outputs are not one-hot or any output is X, or if an
+    /// operand fails to settle within the simulator's event limit.
     pub fn run_workload(
         &self,
         workload: &InferenceWorkload,
@@ -155,24 +145,11 @@ impl<'a> EventDrivenInference<'a> {
         masks: &ExcludeMasks,
         feature_vectors: &[V],
     ) -> Result<EventDrivenRun, DatapathError> {
-        check_masks(&self.config, masks)?;
-        for vector in feature_vectors {
-            if vector.as_ref().len() != self.config.features() {
-                return Err(DatapathError::WidthMismatch {
-                    what: "feature vector",
-                    expected: self.config.features(),
-                    got: vector.as_ref().len(),
-                });
-            }
-        }
-        let operands = operand_bit_vectors(&self.config, masks, feature_vectors);
-        let (runs, latency) = self.sim.run_operands_with_report(&operands);
-        let outcomes = runs
-            .iter()
-            .enumerate()
-            .map(|(k, run)| decode_operand_run(run, k))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(EventDrivenRun { outcomes, latency })
+        self.run_encoded(
+            masks,
+            feature_vectors,
+            ParallelEventSim::run_operands_faulted,
+        )
     }
 
     /// Like [`EventDrivenInference::run_workload`], but on the
@@ -205,6 +182,23 @@ impl<'a> EventDrivenInference<'a> {
         masks: &ExcludeMasks,
         feature_vectors: &[V],
     ) -> Result<EventDrivenRun, DatapathError> {
+        self.run_encoded(
+            masks,
+            feature_vectors,
+            ParallelEventSim::run_operands_sliced_faulted,
+        )
+    }
+
+    /// The body both kernels share: validate masks and vector widths,
+    /// encode, replay on the healthy circuit (empty fault plan, no
+    /// horizon) through `runner`, decode and aggregate.  An operand
+    /// that fails to settle is a [`DatapathError::DecodeFailure`].
+    fn run_encoded<V: AsRef<[bool]>>(
+        &self,
+        masks: &ExcludeMasks,
+        feature_vectors: &[V],
+        runner: Runner<'a>,
+    ) -> Result<EventDrivenRun, DatapathError> {
         check_masks(&self.config, masks)?;
         for vector in feature_vectors {
             if vector.as_ref().len() != self.config.features() {
@@ -216,15 +210,30 @@ impl<'a> EventDrivenInference<'a> {
             }
         }
         let operands = operand_bit_vectors(&self.config, masks, feature_vectors);
-        let (runs, latency) = self.sim.run_operands_sliced_with_report(&operands);
+        let runs = runner(&self.sim, &operands, &FaultPlan::new(), None)
+            .into_iter()
+            .enumerate()
+            .map(|(k, run)| {
+                run.map_err(|error| DatapathError::DecodeFailure(format!("operand {k}: {error}")))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let outcomes = runs
             .iter()
             .enumerate()
             .map(|(k, run)| decode_operand_run(run, k))
             .collect::<Result<Vec<_>, _>>()?;
+        let latency = LatencyReport::from_runs(&runs);
         Ok(EventDrivenRun { outcomes, latency })
     }
 }
+
+/// One of [`ParallelEventSim`]'s two operand runners (scalar or sliced).
+type Runner<'a> = fn(
+    &ParallelEventSim<'a>,
+    &[Vec<bool>],
+    &FaultPlan,
+    Option<f64>,
+) -> Vec<Result<OperandRun, SettleError>>;
 
 /// Flattens each feature vector with the shared exclude masks into the
 /// golden model's primary-input order (features, then the positive bank,

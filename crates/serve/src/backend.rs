@@ -6,18 +6,19 @@
 //! telemetry; the backend only computes — and it is implemented for
 //! every inference engine of the workspace:
 //!
-//! | adapter | engine | character |
+//! | adapter | engine | kernels |
 //! |---|---|---|
 //! | [`BatchBackend`] | [`datapath::BatchInference`] | 64-lane bit-parallel, single thread |
 //! | [`ParallelBatchBackend`] | [`datapath::ParallelBatchInference`] | 64-lane passes sharded across workers |
-//! | [`EventDrivenBackend`] | [`datapath::EventDrivenInference`] | per-operand event-driven simulation |
-//! | [`DualRailBackend`] | [`datapath::DualRailInference`] | four-phase dual-rail handshakes |
-//! | [`EventSlicedBackend`] | [`datapath::EventDrivenInference`] (sliced) | 64-lane bit-sliced event simulation |
-//! | [`DualRailSlicedBackend`] | [`datapath::DualRailInference`] (sliced) | 64-lane bit-sliced four-phase handshakes |
-//! | [`DualRailPipelinedBackend`] | [`datapath::DualRailInference`] (pipelined) | wavefront-pipelined four-phase token trains |
+//! | [`EventDrivenBackend`] | [`datapath::EventDrivenInference`] | [`EventKernel`]: scalar or 64-lane bit-sliced event simulation |
+//! | [`DualRailBackend`] | [`datapath::DualRailInference`] | [`DualRailKernel`]: scalar, 64-lane bit-sliced or wavefront-pipelined four-phase handshakes |
 //!
-//! The exclude masks (the trained model) bind at adapter construction:
-//! a server serves one model, and requests carry only features.
+//! One simulation adapter serves each engine family; the kernel value,
+//! not the adapter type, picks the engine path, and [`Backend::name`]
+//! names the kernel (`event_driven`, `event_sliced`, `dual_rail`,
+//! `dualrail_sliced`, `dualrail_pipelined`).  The exclude masks (the
+//! trained model) bind and are checked at adapter construction: a
+//! server serves one model, and requests carry only features.
 //!
 //! Every adapter serves **bit-identical outcomes to its offline engine**
 //! — the adapters forward to the same `infer_batch`/`run_features`
@@ -27,8 +28,8 @@
 
 use celllib::Library;
 use datapath::{
-    BatchGoldenModel, BatchInference, DualRailDatapath, DualRailInference, EventDrivenInference,
-    InferenceOutcome, ParallelBatchInference,
+    BatchGoldenModel, BatchInference, DatapathConfig, DualRailDatapath, DualRailInference,
+    EventDrivenInference, InferenceOutcome, ParallelBatchInference,
 };
 use dualrail::PipelineConfig;
 use tsetlin::ExcludeMasks;
@@ -97,7 +98,7 @@ impl<'a> BatchBackend<'a> {
     ///
     /// Propagates netlist-flattening failures and mask/model mismatches.
     pub fn new(model: &'a BatchGoldenModel, masks: ExcludeMasks) -> Result<Self, ServeError> {
-        check_masks(model, &masks)?;
+        check_masks(model.config(), &masks)?;
         Ok(Self {
             inner: BatchInference::new(model)?,
             masks,
@@ -134,7 +135,7 @@ impl<'a> ParallelBatchBackend<'a> {
         masks: ExcludeMasks,
         threads: usize,
     ) -> Result<Self, ServeError> {
-        check_masks(model, &masks)?;
+        check_masks(model.config(), &masks)?;
         Ok(Self {
             inner: ParallelBatchInference::new(model, threads)?,
             masks,
@@ -152,222 +153,196 @@ impl Backend for ParallelBatchBackend<'_> {
     }
 }
 
+/// Which event kernel an [`EventDrivenBackend`] serves on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EventKernel {
+    /// One return-to-zero settle per request on the scalar engine
+    /// (`"event_driven"`).
+    Scalar,
+    /// A micro-batch is one 64-lane word settling through a single
+    /// return-to-zero cycle of merged events — outcomes bit-identical
+    /// to [`EventKernel::Scalar`] at a fraction of the cost
+    /// (`"event_sliced"`).
+    Sliced,
+}
+
+impl EventKernel {
+    /// The stable telemetry name an adapter on this kernel serves as.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            EventKernel::Scalar => "event_driven",
+            EventKernel::Sliced => "event_sliced",
+        }
+    }
+}
+
 /// Serving adapter over the sharded event-driven golden-model engine
-/// (each request settles through one return-to-zero cycle; the
-/// simulation's per-operand latency is an engine-internal figure — the
-/// *serving* report measures queueing and wall-clock service time).
+/// (the simulation's per-operand latency is an engine-internal figure —
+/// the *serving* report measures queueing and wall-clock service time).
+/// The [`EventKernel`] picks the scalar or the bit-sliced kernel.
 #[derive(Debug)]
 pub struct EventDrivenBackend<'a> {
     inner: EventDrivenInference<'a>,
     masks: ExcludeMasks,
+    kernel: EventKernel,
 }
 
 impl<'a> EventDrivenBackend<'a> {
-    /// Compiles the golden model for event-driven serving with delays
-    /// from `library`, sharded across `threads` workers.
+    /// Compiles the golden model for event-driven serving on the
+    /// bit-sliced kernel with delays from `library`, sharded across
+    /// `threads` workers.
     ///
     /// # Errors
     ///
-    /// Propagates mask/model mismatches.
+    /// Rejects masks that do not match the model
+    /// ([`ServeError::InvalidConfig`] named `"masks"`).
     pub fn new(
         model: &'a BatchGoldenModel,
         library: &Library,
         masks: ExcludeMasks,
         threads: usize,
     ) -> Result<Self, ServeError> {
-        check_masks(model, &masks)?;
+        Self::with_kernel(model, library, masks, threads, EventKernel::Sliced)
+    }
+
+    /// Like [`EventDrivenBackend::new`] on an explicit `kernel`.
+    ///
+    /// # Errors
+    ///
+    /// See [`EventDrivenBackend::new`].
+    pub fn with_kernel(
+        model: &'a BatchGoldenModel,
+        library: &Library,
+        masks: ExcludeMasks,
+        threads: usize,
+        kernel: EventKernel,
+    ) -> Result<Self, ServeError> {
+        check_masks(model.config(), &masks)?;
         Ok(Self {
             inner: EventDrivenInference::new(model, library, threads),
             masks,
+            kernel,
         })
     }
 }
 
 impl Backend for EventDrivenBackend<'_> {
     fn name(&self) -> &'static str {
-        "event_driven"
+        self.kernel.name()
     }
 
     fn serve(&mut self, features: &[&[bool]]) -> Result<Vec<InferenceOutcome>, ServeError> {
-        Ok(self.inner.run_features(&self.masks, features)?.outcomes)
+        let run = match self.kernel {
+            EventKernel::Scalar => self.inner.run_features(&self.masks, features)?,
+            EventKernel::Sliced => self.inner.run_features_sliced(&self.masks, features)?,
+        };
+        Ok(run.outcomes)
+    }
+}
+
+/// Which four-phase kernel a [`DualRailBackend`] serves on.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum DualRailKernel {
+    /// One complete handshake cycle per request on the scalar protocol
+    /// driver (`"dual_rail"`).
+    Scalar,
+    /// A micro-batch is one word of 64 handshake lanes on the
+    /// bit-sliced driver — outcomes bit-identical to
+    /// [`DualRailKernel::Scalar`] (`"dualrail_sliced"`).
+    Sliced,
+    /// A micro-batch is one wavefront-pipelined token train
+    /// ([`dualrail::PipelinedProtocolDriver`]): each operand is injected
+    /// as soon as the input stage acknowledges its predecessor's spacer
+    /// instead of after the global `done` round-trip — outcomes
+    /// bit-identical to [`DualRailKernel::Scalar`], simulated cycle time
+    /// well below the serial two-settle handshake
+    /// (`"dualrail_pipelined"`).
+    Pipelined(PipelineConfig),
+}
+
+impl DualRailKernel {
+    /// The stable telemetry name an adapter on this kernel serves as.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            DualRailKernel::Scalar => "dual_rail",
+            DualRailKernel::Sliced => "dualrail_sliced",
+            DualRailKernel::Pipelined(_) => "dualrail_pipelined",
+        }
     }
 }
 
 /// Serving adapter over the sharded dual-rail four-phase engine — every
-/// request is a complete handshake cycle on the paper's actual datapath.
+/// request is a complete handshake cycle on the paper's actual
+/// datapath, on the kernel its [`DualRailKernel`] picks.
 #[derive(Debug)]
 pub struct DualRailBackend<'a> {
     inner: DualRailInference<'a>,
     masks: ExcludeMasks,
+    kernel: DualRailKernel,
 }
 
+/// The bit-sliced dual-rail serving adapter: [`DualRailBackend::new`]
+/// builds the [`DualRailKernel::Sliced`] kernel.
+pub type DualRailSlicedBackend<'a> = DualRailBackend<'a>;
+
 impl<'a> DualRailBackend<'a> {
-    /// Compiles the dual-rail datapath for four-phase serving with
-    /// delays from `library`, sharded across `threads` workers under the
-    /// reset-phase contract.
+    /// Compiles the dual-rail datapath for four-phase serving on the
+    /// bit-sliced kernel with delays from `library`, words sharded
+    /// across `threads` workers under the reset-phase contract.
     ///
     /// # Errors
     ///
-    /// Propagates driver-construction failures (e.g. a circuit that
-    /// fails to settle during initialisation).
+    /// Rejects masks that do not match the datapath
+    /// ([`ServeError::InvalidConfig`] named `"masks"`) and propagates
+    /// driver-construction failures (e.g. a circuit that fails to
+    /// settle during initialisation).
     pub fn new(
         datapath: &'a DualRailDatapath,
         library: &Library,
         masks: ExcludeMasks,
         threads: usize,
     ) -> Result<Self, ServeError> {
+        Self::with_kernel(datapath, library, masks, threads, DualRailKernel::Sliced)
+    }
+
+    /// Like [`DualRailBackend::new`] on an explicit `kernel`.
+    ///
+    /// # Errors
+    ///
+    /// See [`DualRailBackend::new`].
+    pub fn with_kernel(
+        datapath: &'a DualRailDatapath,
+        library: &Library,
+        masks: ExcludeMasks,
+        threads: usize,
+        kernel: DualRailKernel,
+    ) -> Result<Self, ServeError> {
+        check_masks(datapath.config(), &masks)?;
         Ok(Self {
             inner: DualRailInference::new(datapath, library, threads)?,
             masks,
+            kernel,
         })
     }
 }
 
 impl Backend for DualRailBackend<'_> {
     fn name(&self) -> &'static str {
-        "dual_rail"
+        self.kernel.name()
     }
 
     fn serve(&mut self, features: &[&[bool]]) -> Result<Vec<InferenceOutcome>, ServeError> {
-        Ok(self.inner.run_features(&self.masks, features)?.outcomes)
-    }
-}
-
-/// Serving adapter over the bit-sliced event-driven engine: a micro
-/// batch is one 64-lane word, so the whole batch settles through a
-/// single return-to-zero cycle of merged events — outcomes
-/// bit-identical to [`EventDrivenBackend`] at a fraction of the cost.
-#[derive(Debug)]
-pub struct EventSlicedBackend<'a> {
-    inner: EventDrivenInference<'a>,
-    masks: ExcludeMasks,
-}
-
-impl<'a> EventSlicedBackend<'a> {
-    /// Compiles the golden model for bit-sliced event-driven serving
-    /// with delays from `library`, words sharded across `threads`
-    /// workers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates mask/model mismatches.
-    pub fn new(
-        model: &'a BatchGoldenModel,
-        library: &Library,
-        masks: ExcludeMasks,
-        threads: usize,
-    ) -> Result<Self, ServeError> {
-        check_masks(model, &masks)?;
-        Ok(Self {
-            inner: EventDrivenInference::new(model, library, threads),
-            masks,
-        })
-    }
-}
-
-impl Backend for EventSlicedBackend<'_> {
-    fn name(&self) -> &'static str {
-        "event_sliced"
-    }
-
-    fn serve(&mut self, features: &[&[bool]]) -> Result<Vec<InferenceOutcome>, ServeError> {
-        Ok(self
-            .inner
-            .run_features_sliced(&self.masks, features)?
-            .outcomes)
-    }
-}
-
-/// Serving adapter over the bit-sliced dual-rail engine: a micro-batch
-/// is one word of four-phase handshake lanes on the paper's actual
-/// datapath — outcomes bit-identical to [`DualRailBackend`].
-#[derive(Debug)]
-pub struct DualRailSlicedBackend<'a> {
-    inner: DualRailInference<'a>,
-    masks: ExcludeMasks,
-}
-
-impl<'a> DualRailSlicedBackend<'a> {
-    /// Compiles the dual-rail datapath for bit-sliced four-phase
-    /// serving with delays from `library`, words sharded across
-    /// `threads` workers under the reset-phase contract.
-    ///
-    /// # Errors
-    ///
-    /// Propagates driver-construction failures (e.g. a circuit that
-    /// fails to settle during initialisation).
-    pub fn new(
-        datapath: &'a DualRailDatapath,
-        library: &Library,
-        masks: ExcludeMasks,
-        threads: usize,
-    ) -> Result<Self, ServeError> {
-        Ok(Self {
-            inner: DualRailInference::new(datapath, library, threads)?,
-            masks,
-        })
-    }
-}
-
-impl Backend for DualRailSlicedBackend<'_> {
-    fn name(&self) -> &'static str {
-        "dualrail_sliced"
-    }
-
-    fn serve(&mut self, features: &[&[bool]]) -> Result<Vec<InferenceOutcome>, ServeError> {
-        Ok(self
-            .inner
-            .run_features_sliced(&self.masks, features)?
-            .outcomes)
-    }
-}
-
-/// Serving adapter over the wavefront-pipelined dual-rail engine
-/// ([`dualrail::PipelinedProtocolDriver`]): a micro-batch is one token
-/// train, with each operand injected as soon as the input stage
-/// acknowledges its predecessor's spacer instead of after the global
-/// `done` round-trip — outcomes bit-identical to [`DualRailBackend`],
-/// simulated cycle time well below the serial two-settle handshake.
-#[derive(Debug)]
-pub struct DualRailPipelinedBackend<'a> {
-    inner: DualRailInference<'a>,
-    masks: ExcludeMasks,
-    config: PipelineConfig,
-}
-
-impl<'a> DualRailPipelinedBackend<'a> {
-    /// Compiles the dual-rail datapath for wavefront-pipelined serving
-    /// with delays from `library`, token trains sharded across
-    /// `threads` workers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates driver-construction failures (e.g. a circuit that
-    /// fails to settle during initialisation).
-    pub fn new(
-        datapath: &'a DualRailDatapath,
-        library: &Library,
-        masks: ExcludeMasks,
-        threads: usize,
-        config: PipelineConfig,
-    ) -> Result<Self, ServeError> {
-        Ok(Self {
-            inner: DualRailInference::new(datapath, library, threads)?,
-            masks,
-            config,
-        })
-    }
-}
-
-impl Backend for DualRailPipelinedBackend<'_> {
-    fn name(&self) -> &'static str {
-        "dualrail_pipelined"
-    }
-
-    fn serve(&mut self, features: &[&[bool]]) -> Result<Vec<InferenceOutcome>, ServeError> {
-        let (run, _report) =
-            self.inner
-                .run_features_pipelined(&self.masks, features, self.config)?;
+        let run = match self.kernel {
+            DualRailKernel::Scalar => self.inner.run_features(&self.masks, features)?,
+            DualRailKernel::Sliced => self.inner.run_features_sliced(&self.masks, features)?,
+            DualRailKernel::Pipelined(config) => {
+                self.inner
+                    .run_features_pipelined(&self.masks, features, config)?
+                    .0
+            }
+        };
         Ok(run.outcomes)
     }
 }
@@ -531,24 +506,11 @@ impl<B: Backend> Backend for FlakyBackend<B> {
 
 /// Rejects masks that do not match the model configuration at adapter
 /// construction, so a misconfigured server fails before accepting load.
-fn check_masks(model: &BatchGoldenModel, masks: &ExcludeMasks) -> Result<(), ServeError> {
-    let config = model.config();
-    if masks.feature_count() != config.features()
-        || masks.clauses_per_polarity() != config.clauses_per_polarity()
-    {
-        return Err(ServeError::InvalidConfig {
-            name: "masks",
-            reason: format!(
-                "exclude masks ({} features, {} clauses/polarity) do not match the model \
-                 ({} features, {} clauses/polarity)",
-                masks.feature_count(),
-                masks.clauses_per_polarity(),
-                config.features(),
-                config.clauses_per_polarity()
-            ),
-        });
-    }
-    Ok(())
+fn check_masks(config: &DatapathConfig, masks: &ExcludeMasks) -> Result<(), ServeError> {
+    datapath::batch::check_masks(config, masks).map_err(|error| ServeError::InvalidConfig {
+        name: "masks",
+        reason: error.to_string(),
+    })
 }
 
 #[cfg(test)]
@@ -573,66 +535,66 @@ mod tests {
         assert_eq!(&parallel.serve(&features).unwrap(), workload.expected());
     }
 
+    /// Every kernel of the event-driven adapter serves golden outcomes
+    /// under its stable telemetry name.
     #[test]
-    fn event_and_dual_rail_adapters_serve_golden_outcomes() {
+    fn event_adapter_serves_golden_outcomes_on_every_kernel() {
         let config = DatapathConfig::new(4, 2).unwrap();
         let model = BatchGoldenModel::generate(&config).unwrap();
-        let library = Library::umc_ll();
-        let workload = InferenceWorkload::random(&config, 5, 0.6, 9).unwrap();
-        let features: Vec<&[bool]> = workload.samples().map(|s| s.features).collect();
-
-        let mut event =
-            EventDrivenBackend::new(&model, &library, workload.masks().clone(), 2).unwrap();
-        assert_eq!(event.name(), "event_driven");
-        assert_eq!(&event.serve(&features).unwrap(), workload.expected());
-
-        let datapath = DualRailDatapath::generate(&config).unwrap();
-        let mut dual =
-            DualRailBackend::new(&datapath, &library, workload.masks().clone(), 2).unwrap();
-        assert_eq!(dual.name(), "dual_rail");
-        assert_eq!(&dual.serve(&features).unwrap(), workload.expected());
-    }
-
-    #[test]
-    fn sliced_adapters_serve_golden_outcomes() {
-        let config = DatapathConfig::new(4, 2).unwrap();
-        let model = BatchGoldenModel::generate(&config).unwrap();
-        let library = Library::umc_ll();
-        let workload = InferenceWorkload::random(&config, 5, 0.6, 9).unwrap();
-        let features: Vec<&[bool]> = workload.samples().map(|s| s.features).collect();
-
-        let mut event =
-            EventSlicedBackend::new(&model, &library, workload.masks().clone(), 2).unwrap();
-        assert_eq!(event.name(), "event_sliced");
-        assert_eq!(event.max_batch(), netlist::LANES);
-        assert_eq!(&event.serve(&features).unwrap(), workload.expected());
-
-        let datapath = DualRailDatapath::generate(&config).unwrap();
-        let mut dual =
-            DualRailSlicedBackend::new(&datapath, &library, workload.masks().clone(), 2).unwrap();
-        assert_eq!(dual.name(), "dualrail_sliced");
-        assert_eq!(&dual.serve(&features).unwrap(), workload.expected());
-    }
-
-    #[test]
-    fn pipelined_adapter_serves_golden_outcomes() {
-        let config = DatapathConfig::new(4, 2).unwrap();
         let library = Library::umc_ll();
         let workload = InferenceWorkload::random(&config, 7, 0.6, 9).unwrap();
         let features: Vec<&[bool]> = workload.samples().map(|s| s.features).collect();
+        let masks = || workload.masks().clone();
 
+        let default = EventDrivenBackend::new(&model, &library, masks(), 2).unwrap();
+        assert_eq!(default.name(), "event_sliced");
+        for (kernel, name) in [
+            (EventKernel::Scalar, "event_driven"),
+            (EventKernel::Sliced, "event_sliced"),
+        ] {
+            let mut event =
+                EventDrivenBackend::with_kernel(&model, &library, masks(), 2, kernel).unwrap();
+            assert_eq!(event.name(), name);
+            assert_eq!(event.max_batch(), netlist::LANES);
+            assert_eq!(
+                &event.serve(&features).unwrap(),
+                workload.expected(),
+                "{name}"
+            );
+        }
+    }
+
+    /// Every kernel of the dual-rail adapter serves golden outcomes
+    /// under its stable telemetry name; `new` builds the sliced kernel.
+    #[test]
+    fn dual_rail_adapter_serves_golden_outcomes_on_every_kernel() {
+        let config = DatapathConfig::new(4, 2).unwrap();
         let datapath = DualRailDatapath::generate(&config).unwrap();
-        let mut pipelined = DualRailPipelinedBackend::new(
-            &datapath,
-            &library,
-            workload.masks().clone(),
-            2,
-            PipelineConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(pipelined.name(), "dualrail_pipelined");
-        assert_eq!(pipelined.max_batch(), netlist::LANES);
-        assert_eq!(&pipelined.serve(&features).unwrap(), workload.expected());
+        let library = Library::umc_ll();
+        let workload = InferenceWorkload::random(&config, 7, 0.6, 9).unwrap();
+        let features: Vec<&[bool]> = workload.samples().map(|s| s.features).collect();
+        let masks = || workload.masks().clone();
+
+        let default = DualRailSlicedBackend::new(&datapath, &library, masks(), 2).unwrap();
+        assert_eq!(default.name(), "dualrail_sliced");
+        for (kernel, name) in [
+            (DualRailKernel::Scalar, "dual_rail"),
+            (DualRailKernel::Sliced, "dualrail_sliced"),
+            (
+                DualRailKernel::Pipelined(PipelineConfig::default()),
+                "dualrail_pipelined",
+            ),
+        ] {
+            let mut dual =
+                DualRailBackend::with_kernel(&datapath, &library, masks(), 2, kernel).unwrap();
+            assert_eq!(dual.name(), name);
+            assert_eq!(dual.max_batch(), netlist::LANES);
+            assert_eq!(
+                &dual.serve(&features).unwrap(),
+                workload.expected(),
+                "{name}"
+            );
+        }
     }
 
     #[test]
@@ -714,5 +676,20 @@ mod tests {
             BatchBackend::new(&model, wrong.masks().clone()),
             Err(ServeError::InvalidConfig { name: "masks", .. })
         ));
+
+        // The dual-rail adapter rejects them too, on every kernel,
+        // before a single batch fails as a backend error.
+        let datapath = DualRailDatapath::generate(&config).unwrap();
+        let library = Library::umc_ll();
+        for kernel in [
+            DualRailKernel::Scalar,
+            DualRailKernel::Sliced,
+            DualRailKernel::Pipelined(PipelineConfig::default()),
+        ] {
+            assert!(matches!(
+                DualRailBackend::with_kernel(&datapath, &library, wrong.masks().clone(), 1, kernel),
+                Err(ServeError::InvalidConfig { name: "masks", .. })
+            ));
+        }
     }
 }

@@ -22,11 +22,11 @@
 //!   loop instead.
 //! * [`MicroBatcher`] + [`AdmissionPolicy`] — the deterministic batcher
 //!   state machine (see `batcher` module docs).
-//! * [`Backend`] — one trait, seven adapters ([`BatchBackend`],
-//!   [`ParallelBatchBackend`], [`EventDrivenBackend`],
-//!   [`DualRailBackend`], the bit-sliced [`EventSlicedBackend`] and
-//!   [`DualRailSlicedBackend`], and the wavefront-pipelined
-//!   [`DualRailPipelinedBackend`]).
+//! * [`Backend`] — one trait, four engine adapters ([`BatchBackend`],
+//!   [`ParallelBatchBackend`], and one simulation adapter per engine
+//!   family: [`EventDrivenBackend`] on an [`EventKernel`] and
+//!   [`DualRailBackend`] on a [`DualRailKernel`] — scalar, 64-lane
+//!   bit-sliced or wavefront-pipelined).
 //! * [`Server`] — the virtual-clock event loop; see `server` module
 //!   docs for the determinism contract.  **Every served outcome is
 //!   verified against the workload's golden outcome** before a report
@@ -86,9 +86,8 @@ pub mod telemetry;
 pub mod trace;
 
 pub use backend::{
-    Backend, BatchBackend, CircuitBreaker, DualRailBackend, DualRailPipelinedBackend,
-    DualRailSlicedBackend, EventDrivenBackend, EventSlicedBackend, FlakyBackend,
-    ParallelBatchBackend,
+    Backend, BatchBackend, CircuitBreaker, DualRailBackend, DualRailKernel, DualRailSlicedBackend,
+    EventDrivenBackend, EventKernel, FlakyBackend, ParallelBatchBackend,
 };
 pub use batcher::{AdmissionPolicy, MicroBatcher, PendingRequest};
 pub use error::ServeError;

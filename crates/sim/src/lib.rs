@@ -31,7 +31,7 @@
 //!
 //! [`SlicedSimulator`] evaluates the same programs 64 operand lanes at
 //! a time by encoding each net's three-valued state as two `u64`
-//! bitplanes; [`run_word_return_to_zero`] drives a whole word through
+//! bitplanes; [`try_run_word_return_to_zero`] drives a whole word through
 //! one return-to-zero cycle with per-lane outputs, settle times and
 //! event counts bit-identical to the scalar engine (see the
 //! [`sliced`] module).
@@ -76,11 +76,9 @@ pub use event::{Event, EventQueue, SimEvent};
 pub use fault::{FaultPlan, SettleError, SettlePhase, SeuPulse};
 pub use monitor::{LatencyReport, LatencyStats, PipelineReport, TransitionLog};
 pub use parallel::{
-    run_return_to_zero, try_run_return_to_zero, OperandRun, ParallelEventSim, ShardingContract,
+    try_run_return_to_zero, OperandRun, ParallelEventSim, Replica, ShardingContract,
 };
 pub use program::EngineProgram;
-pub use sliced::{
-    lane_mask, run_word_return_to_zero, try_run_word_return_to_zero, SlicedSimulator,
-};
+pub use sliced::{lane_mask, try_run_word_return_to_zero, SlicedSimulator};
 pub use testbench::{run_combinational_vectors, run_synchronous_vectors, SyncRunResult};
 pub use value::Logic;

@@ -222,7 +222,7 @@ impl fmt::Display for LatencyStats {
 /// Unlike [`LatencyStats`] (an incremental accumulator), a report is
 /// built in one shot from an ordered latency vector — typically by
 /// [`LatencyReport::from_runs`] over the output of
-/// [`crate::ParallelEventSim::run_operands`] — and compares with `==`,
+/// [`crate::ParallelEventSim::run_operands_faulted`] — and compares with `==`,
 /// which the thread-invariance property tests rely on: two reports are
 /// equal iff every per-operand latency is bit-identical *in the same
 /// order*.

@@ -13,8 +13,9 @@
 //! [`ParallelEventSim`] replicates only what replication must cost: the
 //! immutable compilation ([`crate::EngineProgram`] — CSR relations,
 //! truth tables, delay memos) is built once and shared through an `Arc`,
-//! and each worker owns a private [`Simulator`] instance (net values +
-//! event queue + counters).  Operand ranges are claimed dynamically via
+//! and each worker owns a private [`Simulator`] or [`SlicedSimulator`]
+//! instance (net values + event queue + counters).  Operand ranges are
+//! claimed through one hook, [`ParallelEventSim::shard_with`], over
 //! [`exec::Executor::map_chunks_with`] and merged in input order, so the
 //! outputs *and* the per-operand latencies are bit-identical to a single
 //! streamed instance at any thread count (property-tested at threads
@@ -45,8 +46,9 @@
 //! operand history.  [`ParallelEventSim::assume_reset_phase`] admits
 //! sequential netlists on the strength of that argument, and **verifies
 //! it per cycle**: each worker snapshots its first settled spacer state
-//! and compares every later one against it, panicking on the first
-//! mismatch instead of silently returning shard-dependent results.
+//! and compares every later one against it, reporting the first
+//! mismatch as a typed [`SettleError::ResetContract`] instead of
+//! silently returning shard-dependent results.
 //! Protocol-level drivers (the `dualrail` crate) perform the same check
 //! against a canonical snapshot shared by all workers.
 //!
@@ -55,7 +57,7 @@
 //! ```
 //! use netlist::{Netlist, CellKind};
 //! use celllib::Library;
-//! use gatesim::{LatencyReport, ParallelEventSim};
+//! use gatesim::{FaultPlan, LatencyReport, ParallelEventSim};
 //!
 //! let mut nl = Netlist::new("majority");
 //! let a = nl.add_input("a");
@@ -70,7 +72,12 @@
 //!     vec![true, true, false],
 //!     vec![false, true, true],
 //! ];
-//! let runs = sim.run_operands(&operands);
+//! // An empty fault plan with no watchdog horizon is the healthy circuit.
+//! let runs = sim
+//!     .run_operands_faulted(&operands, &FaultPlan::new(), None)
+//!     .into_iter()
+//!     .collect::<Result<Vec<_>, _>>()
+//!     .unwrap();
 //! assert!(runs[0].outputs[0].is_one());
 //! assert!(runs[1].outputs[0].is_one());
 //! // The majority gate settles one cell delay after injection.
@@ -90,9 +97,7 @@ use crate::engine::Simulator;
 use crate::fault::{FaultPlan, SettleError, SettlePhase};
 use crate::monitor::LatencyReport;
 use crate::program::EngineProgram;
-use crate::sliced::{
-    run_word_return_to_zero_checked, try_run_word_return_to_zero_checked, SlicedSimulator,
-};
+use crate::sliced::{try_run_word_return_to_zero_checked, SlicedSimulator};
 use crate::Logic;
 
 /// The settled result of one return-to-zero operand cycle.
@@ -108,11 +113,6 @@ pub struct OperandRun {
     /// excluded).
     pub events: u64,
 }
-
-/// Operands per dynamically-claimed work chunk.  Small enough to load
-/// balance uneven settle times, large enough that the claim `fetch_add`
-/// is noise; the value never affects results (operands are independent).
-const OPERANDS_PER_CHUNK: usize = 4;
 
 /// The history-independence argument a [`ParallelEventSim`] relies on to
 /// replay operands on replicated instances.
@@ -138,22 +138,9 @@ pub enum ShardingContract {
 /// declaration order), settle.  This is the protocol
 /// [`ParallelEventSim`] replays on every worker; it is exposed so
 /// streamed single-instance references (tests, benches) can share the
-/// exact code path.
-///
-/// # Panics
-///
-/// Panics if `operand` does not have one bit per primary input or if
-/// either phase fails to settle within the simulator's event limit.
-#[must_use]
-pub fn run_return_to_zero(sim: &mut Simulator<'_>, operand: &[bool]) -> OperandRun {
-    run_return_to_zero_checked(sim, operand, None)
-}
-
-/// Fallible form of [`run_return_to_zero`]: an operand whose spacer or
-/// injection phase fails to settle within the watchdog bounds (event
-/// limit and/or time horizon) returns [`SettleError::Watchdog`] instead
-/// of panicking — the entry point fault campaigns drive faulted
-/// operands through.
+/// exact code path.  An operand whose spacer or injection phase fails
+/// to settle within the watchdog bounds (event limit and/or time
+/// horizon) returns [`SettleError::Watchdog`].
 ///
 /// # Errors
 ///
@@ -171,26 +158,11 @@ pub fn try_run_return_to_zero(
     try_run_return_to_zero_checked(sim, operand, None)
 }
 
-/// [`run_return_to_zero`] with the reset-phase contract check: after the
-/// spacer settles, the full net state is compared against `*snapshot`
-/// (captured from the first spacer if still `None`).
-///
-/// # Panics
-///
-/// Panics like [`run_return_to_zero`], and additionally if a settled
-/// spacer state diverges from the snapshot — the loud failure mode of
-/// the [`ShardingContract::ResetPhase`] contract.
-fn run_return_to_zero_checked(
-    sim: &mut Simulator<'_>,
-    operand: &[bool],
-    spacer_snapshot: Option<&mut Option<Vec<Logic>>>,
-) -> OperandRun {
-    try_run_return_to_zero_checked(sim, operand, spacer_snapshot)
-        .unwrap_or_else(|error| panic!("{error}"))
-}
-
-/// Fallible core of the operand runner: non-settles and reset-phase
-/// contract violations come back as typed [`SettleError`]s.
+/// Fallible core of the operand runner with the reset-phase contract
+/// check: after the spacer settles, the full net state is compared
+/// against `*snapshot` (captured from the first spacer if still
+/// `None`).  Non-settles and contract violations come back as typed
+/// [`SettleError`]s.
 fn try_run_return_to_zero_checked(
     sim: &mut Simulator<'_>,
     operand: &[bool],
@@ -260,9 +232,81 @@ fn try_run_return_to_zero_checked(
     })
 }
 
+/// An engine instance [`ParallelEventSim::shard_with`] replicates per
+/// worker: the scalar [`Simulator`] or the 64-wide [`SlicedSimulator`].
+///
+/// The trait is sealed — the sharding hook's determinism argument is
+/// proven for exactly these two engines — and only carries what the
+/// hook needs to build, instrument and arm a private replica.
+pub trait Replica<'a>: sealed::Sealed + Sized {
+    /// Operands one settle of this engine advances (1 scalar, 64 sliced).
+    const LANES: usize;
+    /// Operands per dynamically claimed chunk for per-operand work:
+    /// four scalar operands (small enough to load-balance uneven settle
+    /// times, large enough that the claim `fetch_add` is noise) or one
+    /// 64-lane word.  The value never affects results.
+    const CHUNK: usize;
+    /// Metrics scope the replica's instruments register under
+    /// (`"<prefix>.scalar.*"` or `"<prefix>.sliced.*"`).
+    const SCOPE: &'static str;
+
+    /// A fresh instance over the shared program.
+    fn from_program(program: Arc<EngineProgram<'a>>) -> Self;
+    /// Attaches engine counters flushed once per settle.
+    fn attach_metrics_deferred(&mut self, handles: tm_obs::SimMetrics);
+    /// Installs a fault overlay (an empty plan clears it).
+    fn set_fault_plan(&mut self, plan: &FaultPlan);
+    /// Bounds the watchdog time horizon.
+    fn set_time_horizon_ps(&mut self, horizon_ps: f64);
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Simulator<'_> {}
+    impl Sealed for super::SlicedSimulator<'_> {}
+}
+
+impl<'a> Replica<'a> for Simulator<'a> {
+    const LANES: usize = 1;
+    const CHUNK: usize = 4;
+    const SCOPE: &'static str = "scalar";
+
+    fn from_program(program: Arc<EngineProgram<'a>>) -> Self {
+        Simulator::from_program(program)
+    }
+    fn attach_metrics_deferred(&mut self, handles: tm_obs::SimMetrics) {
+        Simulator::attach_metrics_deferred(self, handles);
+    }
+    fn set_fault_plan(&mut self, plan: &FaultPlan) {
+        Simulator::set_fault_plan(self, plan);
+    }
+    fn set_time_horizon_ps(&mut self, horizon_ps: f64) {
+        Simulator::set_time_horizon_ps(self, horizon_ps);
+    }
+}
+
+impl<'a> Replica<'a> for SlicedSimulator<'a> {
+    const LANES: usize = netlist::LANES;
+    const CHUNK: usize = netlist::LANES;
+    const SCOPE: &'static str = "sliced";
+
+    fn from_program(program: Arc<EngineProgram<'a>>) -> Self {
+        SlicedSimulator::from_program(program)
+    }
+    fn attach_metrics_deferred(&mut self, handles: tm_obs::SimMetrics) {
+        SlicedSimulator::attach_metrics_deferred(self, handles);
+    }
+    fn set_fault_plan(&mut self, plan: &FaultPlan) {
+        SlicedSimulator::set_fault_plan(self, plan);
+    }
+    fn set_time_horizon_ps(&mut self, horizon_ps: f64) {
+        SlicedSimulator::set_time_horizon_ps(self, horizon_ps);
+    }
+}
+
 /// Event-driven simulation sharded across operands: one shared
-/// [`EngineProgram`], one private [`Simulator`] per worker, results
-/// merged in operand order.
+/// [`EngineProgram`], one private [`Simulator`] or [`SlicedSimulator`]
+/// per worker, results merged in operand order.
 ///
 /// See the [module documentation](self) for the determinism contract and
 /// an example.
@@ -331,7 +375,7 @@ impl<'a> ParallelEventSim<'a> {
     ///
     /// The assertion is not taken on faith: every worker verifies each
     /// settled spacer state against the first one it observed and
-    /// panics on the first mismatch (see the
+    /// reports the first mismatch as a typed error (see the
     /// [module documentation](self)).  Higher-level protocol drivers
     /// layer their own per-cycle check on top via
     /// [`Simulator::first_state_mismatch`].
@@ -380,117 +424,100 @@ impl<'a> ParallelEventSim<'a> {
         self.metrics = None;
     }
 
-    /// Handle set scalar workers attach, if instrumented.
-    fn scalar_metrics(&self) -> Option<tm_obs::SimMetrics> {
-        self.metrics.as_ref().map(|(registry, prefix)| {
-            tm_obs::SimMetrics::register(registry, &format!("{prefix}.scalar"))
-        })
-    }
-
-    /// Handle set 64-wide sliced workers attach, if instrumented.
-    fn sliced_metrics(&self) -> Option<tm_obs::SimMetrics> {
-        self.metrics.as_ref().map(|(registry, prefix)| {
-            tm_obs::SimMetrics::register(registry, &format!("{prefix}.sliced"))
-        })
-    }
-
-    /// Shards arbitrary per-item work across this runner's workers: each
-    /// worker builds its private state once from a fresh [`Simulator`]
-    /// instance over the shared program (`init`), then `step` processes
-    /// every item that worker claims, and the results are merged **in
-    /// item order** — the replication-and-merge machinery of
-    /// [`ParallelEventSim::run_operands`] with the per-item protocol
-    /// supplied by the caller.
+    /// The one sharding hook every runner — here and in the protocol
+    /// drivers built on this type — goes through: items are claimed in
+    /// chunks, each worker builds its private state once from a fresh
+    /// replica `S` over the shared program (`init`), `step` processes
+    /// each claimed chunk (returning one result per item, in item
+    /// order), and the per-chunk results are merged back **in item
+    /// order**.
     ///
-    /// This is the hook protocol-level drivers build on (e.g. the
-    /// `dualrail` crate's sharded four-phase driver, which wraps each
-    /// worker's simulator in a full protocol checker).  The caller is
-    /// responsible for making `step` history-independent — under the
-    /// [`ShardingContract::ResetPhase`] contract that means verifying
-    /// the quiescent state every cycle.
-    pub fn run_with<T, W, R>(
+    /// With `train: None`, chunks of [`Replica::CHUNK`] items are
+    /// claimed dynamically for load balancing.  With `Some(settles)`,
+    /// chunks are fixed position-based **trains** of `settles` replica
+    /// settles (`settles * S::LANES` items) — the unit wavefront-
+    /// pipelined drivers share in-flight circuit state across, so a
+    /// train must be a pure function of its own operands for results
+    /// to stay bit-identical at any thread count.
+    ///
+    /// The caller is responsible for making `step` history-independent
+    /// — under the [`ShardingContract::ResetPhase`] contract that means
+    /// verifying the quiescent state every cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `train` is `Some(0)`.
+    pub fn shard_with<S, T, W, R>(
         &self,
         items: &[T],
-        init: impl Fn(Simulator<'a>) -> W + Sync,
-        step: impl Fn(&mut W, &T) -> R + Sync,
+        train: Option<usize>,
+        init: impl Fn(S) -> W + Sync,
+        step: impl Fn(&mut W, &[T]) -> Vec<R> + Sync,
     ) -> Vec<R>
     where
+        S: Replica<'a>,
         T: Sync,
         R: Send,
     {
+        let chunk_len = train.map_or(S::CHUNK, |settles| {
+            assert!(settles > 0, "train length must be at least 1");
+            settles * S::LANES
+        });
         let program = &self.program;
-        let metrics = self.scalar_metrics();
+        let metrics = self.metrics.as_ref().map(|(registry, prefix)| {
+            tm_obs::SimMetrics::register(registry, &format!("{prefix}.{}", S::SCOPE))
+        });
         let per_chunk = self.executor.map_chunks_with(
             items,
-            OPERANDS_PER_CHUNK,
+            chunk_len,
             || {
-                let mut sim = Simulator::from_program(Arc::clone(program));
+                let mut sim = S::from_program(Arc::clone(program));
                 if let Some(handles) = metrics.clone() {
                     sim.attach_metrics_deferred(handles);
                 }
                 init(sim)
             },
-            |worker, _, chunk| {
-                chunk
-                    .iter()
-                    .map(|item| step(worker, item))
-                    .collect::<Vec<_>>()
-            },
+            |worker, _, chunk| step(worker, chunk),
         );
         per_chunk.into_iter().flatten().collect()
     }
 
+    /// Builds one worker's replica for the operand runners: the fault
+    /// overlay and optional watchdog horizon installed, plus an empty
+    /// reset-phase snapshot slot.
+    fn armed<S: Replica<'a>>(
+        plan: &FaultPlan,
+        horizon_ps: Option<f64>,
+    ) -> impl Fn(S) -> (S, Option<Vec<Logic>>) + Sync + '_ {
+        move |mut sim| {
+            if let Some(horizon) = horizon_ps {
+                sim.set_time_horizon_ps(horizon);
+            }
+            sim.set_fault_plan(plan);
+            (sim, None)
+        }
+    }
+
     /// Replays every operand through a return-to-zero cycle
-    /// ([`run_return_to_zero`]), sharding disjoint operand ranges across
-    /// worker threads, and returns the per-operand results in operand
-    /// order — outputs and latencies bit-identical to streaming the same
-    /// operands through one instance, at any thread count.
+    /// ([`try_run_return_to_zero`]) with `plan` (and the `horizon_ps`
+    /// watchdog bound, when given) installed on every worker's private
+    /// instance, sharding disjoint operand ranges across worker threads,
+    /// and returns the per-operand results in operand order — outputs
+    /// and latencies bit-identical to streaming the same operands
+    /// through one instance, at any thread count.
     ///
     /// Each operand is one `Vec<bool>` with one bit per primary input in
-    /// port declaration order.
+    /// port declaration order.  An operand that fails to settle within
+    /// the watchdog bounds — or breaks the reset-phase contract, which
+    /// every worker verifies against its first settled spacer — yields
+    /// a typed [`SettleError`].  An empty plan with no horizon is
+    /// bit-identical to never installing one (property-tested), so this
+    /// is also the healthy-circuit runner; aggregate latencies with
+    /// [`LatencyReport::from_runs`].
     ///
     /// # Panics
     ///
-    /// Panics if an operand has the wrong width or the circuit fails to
-    /// settle (see [`run_return_to_zero`]).
-    #[must_use]
-    pub fn run_operands(&self, operands: &[Vec<bool>]) -> Vec<OperandRun> {
-        let verify = self.contract == ShardingContract::ResetPhase;
-        self.run_with(
-            operands,
-            |sim| (sim, None::<Vec<Logic>>),
-            move |(sim, snapshot), operand| {
-                // Under the reset-phase contract the settled spacer state
-                // is verified against the worker's first one; replicated
-                // instances are deterministic, so every worker's snapshot
-                // is the same state.
-                run_return_to_zero_checked(sim, operand, verify.then_some(snapshot))
-            },
-        )
-    }
-
-    /// Like [`ParallelEventSim::run_operands`], additionally aggregating
-    /// the per-operand latencies into a [`LatencyReport`].
-    #[must_use]
-    pub fn run_operands_with_report(
-        &self,
-        operands: &[Vec<bool>],
-    ) -> (Vec<OperandRun>, LatencyReport) {
-        let runs = self.run_operands(operands);
-        let report = LatencyReport::from_runs(&runs);
-        (runs, report)
-    }
-
-    /// Like [`ParallelEventSim::run_operands`], but every worker
-    /// installs `plan` (and the `horizon_ps` watchdog bound, when
-    /// given) on its private instance before replaying, and each
-    /// operand that fails to settle within the watchdog bounds — or
-    /// breaks the reset-phase contract — yields a typed
-    /// [`SettleError`] instead of panicking the worker.
-    ///
-    /// With an empty plan and no horizon this is bit-identical to
-    /// [`ParallelEventSim::run_operands`] (property-tested); results
-    /// stay in operand order and bit-identical at any thread count.
+    /// Panics if an operand has the wrong width.
     #[must_use]
     pub fn run_operands_faulted(
         &self,
@@ -499,171 +526,34 @@ impl<'a> ParallelEventSim<'a> {
         horizon_ps: Option<f64>,
     ) -> Vec<Result<OperandRun, SettleError>> {
         let verify = self.contract == ShardingContract::ResetPhase;
-        self.run_with(
+        self.shard_with(
             operands,
-            |mut sim| {
-                if let Some(horizon) = horizon_ps {
-                    sim.set_time_horizon_ps(horizon);
-                }
-                sim.set_fault_plan(plan);
-                (sim, None::<Vec<Logic>>)
-            },
-            move |(sim, snapshot), operand| {
-                try_run_return_to_zero_checked(sim, operand, verify.then_some(snapshot))
+            None,
+            Self::armed::<Simulator<'a>>(plan, horizon_ps),
+            |(sim, snapshot), chunk| {
+                chunk
+                    .iter()
+                    .map(|operand| {
+                        try_run_return_to_zero_checked(sim, operand, verify.then_some(snapshot))
+                    })
+                    .collect()
             },
         )
     }
 
-    /// Shards per-**word** work across this runner's workers: items are
-    /// chunked into words of up to [`netlist::LANES`] entries, each
-    /// worker builds its private state once from a fresh
-    /// [`SlicedSimulator`] over the shared program (`init`), `step`
-    /// processes one whole word at a time (returning one result per
-    /// item, in item order), and the per-word result vectors are
-    /// flattened back **in item order** — the 64-wide analogue of
-    /// [`ParallelEventSim::run_with`], and the hook the sliced
-    /// protocol drivers build on.
-    pub fn run_words_with<T, W, R>(
-        &self,
-        items: &[T],
-        init: impl Fn(SlicedSimulator<'a>) -> W + Sync,
-        step: impl Fn(&mut W, &[T]) -> Vec<R> + Sync,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-    {
-        let program = &self.program;
-        let metrics = self.sliced_metrics();
-        let per_word = self.executor.map_chunks_with(
-            items,
-            netlist::LANES,
-            || {
-                let mut sim = SlicedSimulator::from_program(Arc::clone(program));
-                if let Some(handles) = metrics.clone() {
-                    sim.attach_metrics_deferred(handles);
-                }
-                init(sim)
-            },
-            |worker, _, word| step(worker, word),
-        );
-        per_word.into_iter().flatten().collect()
-    }
-
-    /// Like [`ParallelEventSim::run_with`], but items are claimed in
-    /// fixed position-based **trains** of `train_len` items and `step`
-    /// receives each whole train at once (returning one result per
-    /// item, in item order).  Wavefront-pipelined drivers build on this:
-    /// a train is the unit that shares in-flight circuit state, so a
-    /// train must be a pure function of its own operands for results to
-    /// stay bit-identical at any thread count — which position-based
-    /// chunking plus per-train time rebasing guarantees.
+    /// The 64-wide analogue of [`ParallelEventSim::run_operands_faulted`]
+    /// ([`crate::try_run_word_return_to_zero`]): disjoint **words** of
+    /// up to 64 operands are sharded across worker threads, with
+    /// outputs, per-operand latencies and event counts bit-identical to
+    /// the scalar runner at any thread count, at roughly the word
+    /// width's multiple of its throughput.  A word whose settle trips
+    /// the watchdog or breaks the reset-phase contract yields that
+    /// [`SettleError`] for **every operand in the word** (lanes settle
+    /// together, so a non-settle is a word-level outcome).
     ///
     /// # Panics
     ///
-    /// Panics if `train_len` is zero.
-    pub fn run_trains_with<T, W, R>(
-        &self,
-        items: &[T],
-        train_len: usize,
-        init: impl Fn(Simulator<'a>) -> W + Sync,
-        step: impl Fn(&mut W, &[T]) -> Vec<R> + Sync,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-    {
-        assert!(train_len > 0, "train length must be at least 1");
-        let program = &self.program;
-        let metrics = self.scalar_metrics();
-        let per_train = self.executor.map_chunks_with(
-            items,
-            train_len,
-            || {
-                let mut sim = Simulator::from_program(Arc::clone(program));
-                if let Some(handles) = metrics.clone() {
-                    sim.attach_metrics_deferred(handles);
-                }
-                init(sim)
-            },
-            |worker, _, train| step(worker, train),
-        );
-        per_train.into_iter().flatten().collect()
-    }
-
-    /// The 64-wide analogue of [`ParallelEventSim::run_trains_with`]:
-    /// items are claimed in trains of `words_per_train` **words** (up to
-    /// `words_per_train * `[`netlist::LANES`] items each), each worker
-    /// owns one private [`SlicedSimulator`], and `step` receives each
-    /// whole train (returning one result per item, in item order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words_per_train` is zero.
-    pub fn run_word_trains_with<T, W, R>(
-        &self,
-        items: &[T],
-        words_per_train: usize,
-        init: impl Fn(SlicedSimulator<'a>) -> W + Sync,
-        step: impl Fn(&mut W, &[T]) -> Vec<R> + Sync,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-    {
-        assert!(words_per_train > 0, "train length must be at least 1 word");
-        let program = &self.program;
-        let metrics = self.sliced_metrics();
-        let per_train = self.executor.map_chunks_with(
-            items,
-            words_per_train * netlist::LANES,
-            || {
-                let mut sim = SlicedSimulator::from_program(Arc::clone(program));
-                if let Some(handles) = metrics.clone() {
-                    sim.attach_metrics_deferred(handles);
-                }
-                init(sim)
-            },
-            |worker, _, train| step(worker, train),
-        );
-        per_train.into_iter().flatten().collect()
-    }
-
-    /// Replays every operand through the 64-wide bit-sliced
-    /// return-to-zero cycle ([`crate::run_word_return_to_zero`]),
-    /// sharding disjoint **words** of up to 64 operands across worker
-    /// threads, and returns the per-operand results in operand order —
-    /// outputs, per-operand latencies and event counts bit-identical
-    /// to [`ParallelEventSim::run_operands`] (and therefore to a
-    /// streamed scalar instance), at any thread count, at roughly the
-    /// word width's multiple of its throughput.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an operand has the wrong width or the circuit fails
-    /// to settle (see [`crate::run_word_return_to_zero`]).
-    #[must_use]
-    pub fn run_operands_sliced(&self, operands: &[Vec<bool>]) -> Vec<OperandRun> {
-        let verify = self.contract == ShardingContract::ResetPhase;
-        self.run_words_with(
-            operands,
-            |sim| (sim, None::<Vec<Logic>>),
-            move |(sim, snapshot), word| {
-                run_word_return_to_zero_checked(sim, word, verify.then_some(&mut *snapshot))
-            },
-        )
-    }
-
-    /// The 64-wide analogue of
-    /// [`ParallelEventSim::run_operands_faulted`]: every worker
-    /// installs `plan` (and the `horizon_ps` watchdog bound, when
-    /// given) on its private sliced instance, and a word whose settle
-    /// trips the watchdog or breaks the reset-phase contract yields
-    /// that [`SettleError`] for **every operand in the word** (lanes
-    /// settle together, so a non-settle is a word-level outcome).
-    ///
-    /// With an empty plan and no horizon this is bit-identical to
-    /// [`ParallelEventSim::run_operands_sliced`] (property-tested).
+    /// Panics if an operand has the wrong width.
     #[must_use]
     pub fn run_operands_sliced_faulted(
         &self,
@@ -672,36 +562,19 @@ impl<'a> ParallelEventSim<'a> {
         horizon_ps: Option<f64>,
     ) -> Vec<Result<OperandRun, SettleError>> {
         let verify = self.contract == ShardingContract::ResetPhase;
-        self.run_words_with(
+        self.shard_with(
             operands,
-            |mut sim| {
-                if let Some(horizon) = horizon_ps {
-                    sim.set_time_horizon_ps(horizon);
-                }
-                sim.set_fault_plan(plan);
-                (sim, None::<Vec<Logic>>)
-            },
-            move |(sim, snapshot), word| match try_run_word_return_to_zero_checked(
+            None,
+            Self::armed::<SlicedSimulator<'a>>(plan, horizon_ps),
+            |(sim, snapshot), word| match try_run_word_return_to_zero_checked(
                 sim,
                 word,
-                verify.then_some(&mut *snapshot),
+                verify.then_some(snapshot),
             ) {
                 Ok(runs) => runs.into_iter().map(Ok).collect(),
-                Err(error) => word.iter().map(|_| Err(error.clone())).collect(),
+                Err(error) => vec![Err(error); word.len()],
             },
         )
-    }
-
-    /// Like [`ParallelEventSim::run_operands_sliced`], additionally
-    /// aggregating the per-operand latencies into a [`LatencyReport`].
-    #[must_use]
-    pub fn run_operands_sliced_with_report(
-        &self,
-        operands: &[Vec<bool>],
-    ) -> (Vec<OperandRun>, LatencyReport) {
-        let runs = self.run_operands_sliced(operands);
-        let report = LatencyReport::from_runs(&runs);
-        (runs, report)
     }
 }
 
@@ -715,27 +588,50 @@ impl LatencyReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use netlist::{CellKind, NetId};
 
-    fn lib() -> Library {
+    pub(crate) fn lib() -> Library {
         Library::umc_ll()
     }
 
     /// Streamed single-instance reference: the same protocol on one
     /// simulator, operand after operand.
-    fn stream(netlist: &Netlist, library: &Library, operands: &[Vec<bool>]) -> Vec<OperandRun> {
+    pub(crate) fn stream(
+        netlist: &Netlist,
+        library: &Library,
+        operands: &[Vec<bool>],
+    ) -> Vec<OperandRun> {
         let mut sim = Simulator::new(netlist, library);
         operands
             .iter()
-            .map(|operand| run_return_to_zero(&mut sim, operand))
+            .map(|operand| try_run_return_to_zero(&mut sim, operand).unwrap())
             .collect()
     }
 
-    fn xor_chain() -> Netlist {
+    /// The healthy-circuit runners: an empty plan, no horizon, and any
+    /// settle error raised as a panic.
+    fn healthy(sim: &ParallelEventSim<'_>, operands: &[Vec<bool>]) -> Vec<OperandRun> {
+        let empty = FaultPlan::new();
+        let runs = sim.run_operands_faulted(operands, &empty, None);
+        runs.into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap_or_else(|error| panic!("{error}"))
+    }
+
+    fn healthy_sliced(sim: &ParallelEventSim<'_>, operands: &[Vec<bool>]) -> Vec<OperandRun> {
+        let empty = FaultPlan::new();
+        let runs = sim.run_operands_sliced_faulted(operands, &empty, None);
+        runs.into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap_or_else(|error| panic!("{error}"))
+    }
+
+    /// A `width`-input XOR parity chain.
+    pub(crate) fn xor_chain(width: usize) -> Netlist {
         let mut nl = Netlist::new("xor_chain");
-        let inputs: Vec<NetId> = (0..4).map(|i| nl.add_input(format!("i{i}"))).collect();
+        let inputs: Vec<NetId> = (0..width).map(|i| nl.add_input(format!("i{i}"))).collect();
         let mut acc = inputs[0];
         for (k, &input) in inputs.iter().enumerate().skip(1) {
             acc = nl
@@ -748,7 +644,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_streamed_reference_at_several_thread_counts() {
-        let nl = xor_chain();
+        let nl = xor_chain(4);
         let library = lib();
         let operands: Vec<Vec<bool>> = (0..23u32)
             .map(|p| (0..4).map(|b| p & (1 << b) != 0).collect())
@@ -757,9 +653,36 @@ mod tests {
         for threads in [1, 2, 7] {
             let sim = ParallelEventSim::new(&nl, &library, threads);
             assert_eq!(sim.threads(), threads);
-            let (runs, report) = sim.run_operands_with_report(&operands);
-            assert_eq!(runs, expected, "threads = {threads}");
-            assert_eq!(report, LatencyReport::from_runs(&expected));
+            assert_eq!(healthy(&sim, &operands), expected, "threads = {threads}");
+        }
+    }
+
+    /// The one hook merges per-chunk results in item order for both
+    /// replicas, load-balanced or in fixed trains, at any thread count,
+    /// and a train chunk is exactly `settles * LANES` items.
+    #[test]
+    fn shard_with_merges_in_item_order_for_every_chunking() {
+        let nl = xor_chain(4);
+        let library = lib();
+        let items: Vec<usize> = (0..150).collect();
+        for threads in [1, 2, 7] {
+            let sim = ParallelEventSim::new(&nl, &library, threads);
+            let echo = |_: &mut (), chunk: &[usize]| {
+                chunk.iter().map(|&i| (i, chunk.len())).collect::<Vec<_>>()
+            };
+            for train in [None, Some(1), Some(3)] {
+                let scalar = sim.shard_with(&items, train, |_: Simulator<'_>| (), echo);
+                let sliced = sim.shard_with(&items, train, |_: SlicedSimulator<'_>| (), echo);
+                for (runs, lanes, chunk) in [(scalar, 1, 4), (sliced, netlist::LANES, 64)] {
+                    let expected_len = train.map_or(chunk, |settles| settles * lanes);
+                    assert_eq!(runs.len(), items.len());
+                    for (position, &(item, len)) in runs.iter().enumerate() {
+                        assert_eq!(item, position, "threads = {threads}, train = {train:?}");
+                        assert!(len <= expected_len);
+                    }
+                    assert_eq!(runs[0].1, expected_len.min(items.len()));
+                }
+            }
         }
     }
 
@@ -775,7 +698,7 @@ mod tests {
         nl.add_output("y", net);
         let library = lib();
         let sim = ParallelEventSim::new(&nl, &library, 2);
-        let runs = sim.run_operands(&[vec![true], vec![false]]);
+        let runs = healthy(&sim, &[vec![true], vec![false]]);
         let expected = 6.0 * library.cell_delay(CellKind::Buf, 1);
         assert!((runs[0].latency_ps - expected).abs() < 1e-6);
         assert_eq!(runs[0].outputs, vec![Logic::One]);
@@ -787,12 +710,10 @@ mod tests {
 
     #[test]
     fn empty_operand_list_yields_empty_results() {
-        let nl = xor_chain();
+        let nl = xor_chain(4);
         let library = lib();
         let sim = ParallelEventSim::new(&nl, &library, 3);
-        let (runs, report) = sim.run_operands_with_report(&[]);
-        assert!(runs.is_empty());
-        assert_eq!(report.count(), 0);
+        assert!(healthy(&sim, &[]).is_empty());
     }
 
     #[test]
@@ -828,8 +749,7 @@ mod tests {
             let program = Arc::new(EngineProgram::new(&nl, &library));
             let sim = ParallelEventSim::assume_reset_phase(program, exec::Executor::new(threads));
             assert_eq!(sim.contract(), ShardingContract::ResetPhase);
-            let runs = sim.run_operands(&operands);
-            assert_eq!(runs, expected, "threads = {threads}");
+            assert_eq!(healthy(&sim, &operands), expected, "threads = {threads}");
         }
     }
 
@@ -851,22 +771,22 @@ mod tests {
         let sim = ParallelEventSim::assume_reset_phase(program, exec::Executor::new(1));
         // Operand 1 sets the C-element; the spacer before operand 2 can
         // no longer reach the first spacer's state.
-        let _ = sim.run_operands(&[vec![true], vec![false]]);
+        let _ = healthy(&sim, &[vec![true], vec![false]]);
     }
 
     #[test]
     #[should_panic(expected = "operand width")]
     fn wrong_operand_width_panics() {
-        let nl = xor_chain();
+        let nl = xor_chain(4);
         let library = lib();
         let sim = ParallelEventSim::new(&nl, &library, 1);
-        let _ = sim.run_operands(&[vec![true; 3]]);
+        let _ = healthy(&sim, &[vec![true; 3]]);
     }
 
     #[test]
     fn sliced_words_match_streamed_reference_at_several_thread_counts() {
         // 150 operands = two full words + a 22-lane tail, sharded.
-        let nl = xor_chain();
+        let nl = xor_chain(4);
         let library = lib();
         let operands: Vec<Vec<bool>> = (0..150u32)
             .map(|p| {
@@ -878,9 +798,11 @@ mod tests {
         let expected = stream(&nl, &library, &operands);
         for threads in [1, 2, 7] {
             let sim = ParallelEventSim::new(&nl, &library, threads);
-            let (runs, report) = sim.run_operands_sliced_with_report(&operands);
-            assert_eq!(runs, expected, "threads = {threads}");
-            assert_eq!(report, LatencyReport::from_runs(&expected));
+            assert_eq!(
+                healthy_sliced(&sim, &operands),
+                expected,
+                "threads = {threads}"
+            );
         }
     }
 
@@ -901,7 +823,7 @@ mod tests {
             let program = Arc::new(EngineProgram::new(&nl, &library));
             let sim = ParallelEventSim::assume_reset_phase(program, exec::Executor::new(threads));
             assert_eq!(
-                sim.run_operands_sliced(&operands),
+                healthy_sliced(&sim, &operands),
                 expected,
                 "threads = {threads}"
             );
@@ -910,11 +832,9 @@ mod tests {
 
     #[test]
     fn sliced_empty_operand_list_yields_empty_results() {
-        let nl = xor_chain();
+        let nl = xor_chain(4);
         let library = lib();
         let sim = ParallelEventSim::new(&nl, &library, 2);
-        let (runs, report) = sim.run_operands_sliced_with_report(&[]);
-        assert!(runs.is_empty());
-        assert_eq!(report.count(), 0);
+        assert!(healthy_sliced(&sim, &[]).is_empty());
     }
 }

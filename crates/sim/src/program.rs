@@ -90,7 +90,7 @@ pub struct EngineProgram<'a> {
     /// simulator instance.
     pub(crate) constants: Vec<(NetId, Logic, f64)>,
     /// Primary inputs in port declaration order, cached so per-operand
-    /// protocols ([`crate::run_return_to_zero`]) never re-derive (and
+    /// protocols ([`crate::try_run_return_to_zero`]) never re-derive (and
     /// re-allocate) the list on the hot path.
     pub(crate) primary_inputs: Vec<NetId>,
     /// Event-queue granularity every instance starts with.

@@ -42,7 +42,7 @@
 //! ```
 //! use netlist::{Netlist, CellKind};
 //! use celllib::Library;
-//! use gatesim::{run_word_return_to_zero, SlicedSimulator};
+//! use gatesim::{try_run_word_return_to_zero, SlicedSimulator};
 //!
 //! let mut nl = Netlist::new("majority");
 //! let a = nl.add_input("a");
@@ -54,10 +54,8 @@
 //! let lib = Library::umc_ll();
 //! let mut sim = SlicedSimulator::new(&nl, &lib);
 //! // One word = up to 64 operands, one return-to-zero cycle for all.
-//! let runs = run_word_return_to_zero(
-//!     &mut sim,
-//!     &[vec![true, true, false], vec![false, true, true], vec![false, false, true]],
-//! );
+//! let operands = [vec![true, true, false], vec![false, true, true], vec![false, false, true]];
+//! let runs = try_run_word_return_to_zero(&mut sim, &operands).unwrap();
 //! assert!(runs[0].outputs[0].is_one());
 //! assert!(runs[1].outputs[0].is_one());
 //! assert!(runs[2].outputs[0].is_zero());
@@ -1342,33 +1340,16 @@ impl<'a> SlicedSimulator<'a> {
 /// Drives one return-to-zero cycle for a whole word of up to 64
 /// operands on `sim` and reports each lane's settled outputs,
 /// injection latency and event count — bit-identical, lane for lane,
-/// to [`crate::run_return_to_zero`] streaming the same operands
+/// to [`crate::try_run_return_to_zero`] streaming the same operands
 /// through a scalar simulator.
 ///
 /// The cycle mirrors the scalar protocol: drive every primary input to
 /// 0 on **all** lanes (inactive tail lanes of a partial word are parked
 /// at the spacer, so they never schedule events, accrue latency or
 /// fail state checks), settle, rebase the clock, drive each active
-/// lane's operand, settle.
-///
-/// # Panics
-///
-/// Panics if the word holds more than 64 operands, if an operand does
-/// not have one bit per primary input, or if either phase fails to
-/// settle within the event limit.
-#[must_use]
-pub fn run_word_return_to_zero(
-    sim: &mut SlicedSimulator<'_>,
-    operands: &[Vec<bool>],
-) -> Vec<OperandRun> {
-    run_word_return_to_zero_checked(sim, operands, None)
-}
-
-/// Fallible form of [`run_word_return_to_zero`]: a word whose spacer or
-/// injection phase fails to settle within the watchdog bounds (event
-/// limit and/or time horizon) returns [`SettleError::Watchdog`] instead
-/// of panicking — the entry point fault campaigns drive faulted words
-/// through.
+/// lane's operand, settle.  A word whose spacer or injection phase
+/// fails to settle within the watchdog bounds (event limit and/or time
+/// horizon) returns [`SettleError::Watchdog`].
 ///
 /// # Errors
 ///
@@ -1386,27 +1367,12 @@ pub fn try_run_word_return_to_zero(
     try_run_word_return_to_zero_checked(sim, operands, None)
 }
 
-/// [`run_word_return_to_zero`] with the reset-phase contract check:
-/// after the spacer settles, every active lane's net state is compared
-/// against `*snapshot` (captured from lane 0 of the first spacer if
-/// still `None` — all lanes are identical there, having seen only
-/// uniform stimulus).
-///
-/// # Panics
-///
-/// Panics like [`run_word_return_to_zero`], and additionally if an
-/// active lane's settled spacer state diverges from the snapshot.
-pub(crate) fn run_word_return_to_zero_checked(
-    sim: &mut SlicedSimulator<'_>,
-    operands: &[Vec<bool>],
-    spacer_snapshot: Option<&mut Option<Vec<Logic>>>,
-) -> Vec<OperandRun> {
-    try_run_word_return_to_zero_checked(sim, operands, spacer_snapshot)
-        .unwrap_or_else(|error| panic!("{error}"))
-}
-
-/// Fallible core of the word runner: non-settles and reset-phase
-/// contract violations come back as typed [`SettleError`]s.
+/// Fallible core of the word runner with the reset-phase contract
+/// check: after the spacer settles, every active lane's net state is
+/// compared against `*snapshot` (captured from lane 0 of the first
+/// spacer if still `None` — all lanes are identical there, having seen
+/// only uniform stimulus).  Non-settles and contract violations come
+/// back as typed [`SettleError`]s.
 pub(crate) fn try_run_word_return_to_zero_checked(
     sim: &mut SlicedSimulator<'_>,
     operands: &[Vec<bool>],
@@ -1498,12 +1464,7 @@ pub(crate) fn try_run_word_return_to_zero_checked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Simulator;
-    use crate::parallel::run_return_to_zero;
-
-    fn lib() -> Library {
-        Library::umc_ll()
-    }
+    use crate::parallel::tests::{lib, stream as streamed, xor_chain};
 
     /// Every kind's plane evaluation must agree with
     /// [`CellKind::eval_tristate`] on every three-valued input
@@ -1585,27 +1546,6 @@ mod tests {
         }
     }
 
-    fn xor_chain(width: usize) -> Netlist {
-        let mut nl = Netlist::new("xor_chain");
-        let inputs: Vec<NetId> = (0..width).map(|i| nl.add_input(format!("i{i}"))).collect();
-        let mut acc = inputs[0];
-        for (k, &input) in inputs.iter().enumerate().skip(1) {
-            acc = nl
-                .add_cell(format!("x{k}"), CellKind::Xor2, &[acc, input])
-                .unwrap();
-        }
-        nl.add_output("parity", acc);
-        nl
-    }
-
-    fn streamed(nl: &Netlist, library: &Library, operands: &[Vec<bool>]) -> Vec<OperandRun> {
-        let mut sim = Simulator::new(nl, library);
-        operands
-            .iter()
-            .map(|operand| run_return_to_zero(&mut sim, operand))
-            .collect()
-    }
-
     #[test]
     fn full_word_matches_streamed_scalar_per_lane() {
         let nl = xor_chain(6);
@@ -1619,7 +1559,7 @@ mod tests {
             .collect();
         let expected = streamed(&nl, &library, &operands);
         let mut sim = SlicedSimulator::new(&nl, &library);
-        let runs = run_word_return_to_zero(&mut sim, &operands);
+        let runs = try_run_word_return_to_zero(&mut sim, &operands).unwrap();
         assert_eq!(runs, expected);
     }
 
@@ -1636,12 +1576,12 @@ mod tests {
                 .collect();
             let expected = streamed(&nl, &library, &operands);
             let mut sim = SlicedSimulator::new(&nl, &library);
-            let runs = run_word_return_to_zero(&mut sim, &operands);
+            let runs = try_run_word_return_to_zero(&mut sim, &operands).unwrap();
             assert_eq!(runs, expected, "width {width}");
             assert_eq!(runs.len(), width);
             // Replay: lanes beyond the tail held no state that could
             // leak into the next word.
-            let again = run_word_return_to_zero(&mut sim, &operands);
+            let again = try_run_word_return_to_zero(&mut sim, &operands).unwrap();
             assert_eq!(again, expected, "width {width} replay");
         }
     }
@@ -1659,8 +1599,8 @@ mod tests {
         let mut expected = streamed(&nl, &library, &first);
         expected.extend(streamed(&nl, &library, &second));
         let mut sim = SlicedSimulator::new(&nl, &library);
-        let mut runs = run_word_return_to_zero(&mut sim, &first);
-        runs.extend(run_word_return_to_zero(&mut sim, &second));
+        let mut runs = try_run_word_return_to_zero(&mut sim, &first).unwrap();
+        runs.extend(try_run_word_return_to_zero(&mut sim, &second).unwrap());
         assert_eq!(runs, expected);
     }
 
@@ -1677,13 +1617,13 @@ mod tests {
         let expected = streamed(&nl, &library, &operands);
         let mut sim = SlicedSimulator::new(&nl, &library);
         let mut snapshot = None;
-        let runs = run_word_return_to_zero_checked(&mut sim, &operands, Some(&mut snapshot));
+        let runs = try_run_word_return_to_zero_checked(&mut sim, &operands, Some(&mut snapshot));
+        let runs = runs.unwrap();
         assert_eq!(runs, expected);
         assert!(snapshot.is_some());
     }
 
     #[test]
-    #[should_panic(expected = "reset-phase contract violated")]
     fn sticky_state_fails_the_contract_loudly() {
         // A C-element held by a tie-high input cannot reset; the word
         // after the poisoning word must fail the snapshot check.
@@ -1695,8 +1635,12 @@ mod tests {
         let library = lib();
         let mut sim = SlicedSimulator::new(&nl, &library);
         let mut snapshot = None;
-        let _ = run_word_return_to_zero_checked(&mut sim, &[vec![true]], Some(&mut snapshot));
-        let _ = run_word_return_to_zero_checked(&mut sim, &[vec![false]], Some(&mut snapshot));
+        let first =
+            try_run_word_return_to_zero_checked(&mut sim, &[vec![true]], Some(&mut snapshot));
+        assert!(first.is_ok());
+        let second =
+            try_run_word_return_to_zero_checked(&mut sim, &[vec![false]], Some(&mut snapshot));
+        assert!(matches!(second, Err(SettleError::ResetContract { .. })));
     }
 
     #[test]
@@ -1768,7 +1712,7 @@ mod tests {
         let nl = xor_chain(3);
         let library = lib();
         let mut sim = SlicedSimulator::new(&nl, &library);
-        let _ = run_word_return_to_zero(&mut sim, &[vec![true; 2]]);
+        let _ = try_run_word_return_to_zero(&mut sim, &[vec![true; 2]]);
     }
 
     #[test]
@@ -1777,6 +1721,6 @@ mod tests {
         let nl = xor_chain(3);
         let library = lib();
         let mut sim = SlicedSimulator::new(&nl, &library);
-        let _ = run_word_return_to_zero(&mut sim, &vec![vec![false; 3]; 65]);
+        let _ = try_run_word_return_to_zero(&mut sim, &vec![vec![false; 3]; 65]);
     }
 }

@@ -39,58 +39,34 @@ proptest! {
         let datapath = DualRailDatapath::generate(&config).expect("generation");
         let pipeline = PipelineConfig { occupancy: Occupancy::Max, ..PipelineConfig::default() };
 
+        // Every entry point's full run, in one comparable tuple.
+        let run_all = |event: &EventDrivenInference<'_>, dual: &DualRailInference<'_>| {
+            (
+                event.run_workload(&workload).expect("event run"),
+                event.run_workload_sliced(&workload).expect("sliced event run"),
+                dual.run_workload(&workload).expect("dual-rail run"),
+                dual.run_workload_sliced(&workload).expect("sliced dual-rail run"),
+                dual.run_workload_pipelined(&workload, pipeline).expect("pipelined dual-rail run"),
+            )
+        };
+
         let mut snapshots = Vec::new();
         for threads in [1usize, 2, 7] {
             // Uninstrumented references for this thread count (the
             // cross-thread invariance of these is pinned by the
             // sharding property tests).
-            let event = EventDrivenInference::new(&model, &library, threads);
-            let expected_event = event.run_workload(&workload).expect("event run");
-            let expected_event_sliced = event
-                .run_workload_sliced(&workload)
-                .expect("sliced event run");
-            let dual = DualRailInference::new(&datapath, &library, threads).expect("driver");
-            let expected_dual = dual.run_workload(&workload).expect("dual-rail run");
-            let expected_dual_sliced = dual
-                .run_workload_sliced(&workload)
-                .expect("sliced dual-rail run");
-            let expected_pipelined = dual
-                .run_workload_pipelined(&workload, pipeline)
-                .expect("pipelined dual-rail run");
+            let expected = run_all(
+                &EventDrivenInference::new(&model, &library, threads),
+                &DualRailInference::new(&datapath, &library, threads).expect("driver"),
+            );
 
             // The same engines with every instrument attached.
             let registry = Arc::new(MetricsRegistry::new());
             let mut event = EventDrivenInference::new(&model, &library, threads);
             event.set_metrics(&registry, "event");
-            prop_assert_eq!(
-                &event.run_workload(&workload).expect("event run"),
-                &expected_event,
-                "event threads {}", threads
-            );
-            prop_assert_eq!(
-                &event.run_workload_sliced(&workload).expect("sliced event run"),
-                &expected_event_sliced,
-                "sliced event threads {}", threads
-            );
             let mut dual = DualRailInference::new(&datapath, &library, threads).expect("driver");
             dual.set_metrics(&registry, "dualrail");
-            prop_assert_eq!(
-                &dual.run_workload(&workload).expect("dual-rail run"),
-                &expected_dual,
-                "dual-rail threads {}", threads
-            );
-            prop_assert_eq!(
-                &dual.run_workload_sliced(&workload).expect("sliced dual-rail run"),
-                &expected_dual_sliced,
-                "sliced dual-rail threads {}", threads
-            );
-            prop_assert_eq!(
-                &dual
-                    .run_workload_pipelined(&workload, pipeline)
-                    .expect("pipelined dual-rail run"),
-                &expected_pipelined,
-                "pipelined dual-rail threads {}", threads
-            );
+            prop_assert_eq!(&run_all(&event, &dual), &expected, "threads {}", threads);
 
             let snapshot = registry.snapshot();
             prop_assert!(!snapshot.is_empty());

@@ -38,6 +38,36 @@ fn eval_dual(
     )
 }
 
+/// A random layered netlist: four primary inputs `i0..i3`, then one cell
+/// per entry of `kinds` (0–5 combinational, 6 a C-element, 7 a
+/// flip-flop), each drawing its inputs from the most recent nets so
+/// depth grows with index; the last net is the single output `y`.
+fn random_cone(name: &str, kinds: &[usize]) -> Netlist {
+    let gate = |k: usize| match k {
+        0 => CellKind::And2,
+        1 => CellKind::Or2,
+        2 => CellKind::Nand2,
+        3 => CellKind::Nor2,
+        4 => CellKind::Xor2,
+        5 => CellKind::Aoi21,
+        6 => CellKind::CElement2,
+        _ => CellKind::Dff,
+    };
+    let mut nl = Netlist::new(name);
+    let mut pool: Vec<NetId> = (0..4).map(|i| nl.add_input(format!("i{i}"))).collect();
+    for (idx, &k) in kinds.iter().enumerate() {
+        let kind = gate(k);
+        let n = pool.len();
+        let ins: Vec<NetId> = (0..kind.input_count())
+            .map(|p| pool[(idx + p * 3) % n])
+            .collect();
+        let out = nl.add_cell(format!("g{idx}"), kind, &ins).expect("cell");
+        pool.push(out);
+    }
+    nl.add_output("y", *pool.last().expect("nonempty"));
+    nl
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -194,32 +224,9 @@ proptest! {
         use tm_async::netlist::{BatchEvaluator, EvalState};
         use std::collections::HashMap;
 
-        let gate = |k: usize| match k {
-            0 => CellKind::And2,
-            1 => CellKind::Or2,
-            2 => CellKind::Nand2,
-            3 => CellKind::Nor2,
-            4 => CellKind::Xor2,
-            5 => CellKind::Aoi21,
-            6 => CellKind::CElement2,
-            _ => CellKind::Dff,
-        };
-
-        // Four primary inputs, then twelve cells; each cell draws its
-        // inputs from the most recent nets so depth grows with index.
-        let mut nl = Netlist::new("random_batch");
-        let mut pool: Vec<NetId> = (0..4).map(|i| nl.add_input(format!("i{i}"))).collect();
-        for (idx, &k) in kinds.iter().enumerate() {
-            let kind = gate(k);
-            let n = pool.len();
-            let ins: Vec<NetId> = (0..kind.input_count())
-                .map(|p| pool[(idx + p * 3) % n])
-                .collect();
-            let out = nl.add_cell(format!("g{idx}"), kind, &ins).expect("cell");
-            pool.push(out);
-        }
-        let last = *pool.last().expect("nonempty");
-        nl.add_output("y", last);
+        // Four primary inputs, then twelve cells.
+        let nl = random_cone("random_batch", &kinds);
+        let last = nl.primary_outputs()[0];
 
         let scalar = Evaluator::new(&nl).expect("acyclic by construction");
         let batch = BatchEvaluator::new(&nl).expect("acyclic by construction");
@@ -315,28 +322,7 @@ proptest! {
     ) {
         use tm_async::netlist::{BatchEvaluator, ParallelBatchEvaluator};
 
-        let gate = |k: usize| match k {
-            0 => CellKind::And2,
-            1 => CellKind::Or2,
-            2 => CellKind::Nand2,
-            3 => CellKind::Nor2,
-            4 => CellKind::Xor2,
-            5 => CellKind::Aoi21,
-            6 => CellKind::CElement2,
-            _ => CellKind::Dff,
-        };
-        let mut nl = Netlist::new("random_parallel");
-        let mut pool: Vec<NetId> = (0..4).map(|i| nl.add_input(format!("i{i}"))).collect();
-        for (idx, &k) in kinds.iter().enumerate() {
-            let kind = gate(k);
-            let n = pool.len();
-            let ins: Vec<NetId> = (0..kind.input_count())
-                .map(|p| pool[(idx + p * 3) % n])
-                .collect();
-            let out = nl.add_cell(format!("g{idx}"), kind, &ins).expect("cell");
-            pool.push(out);
-        }
-        nl.add_output("y", *pool.last().expect("nonempty"));
+        let nl = random_cone("random_parallel", &kinds);
 
         // Three groups of four input words each; reference run is the
         // single-threaded batch evaluator, group by group, two passes so
@@ -424,31 +410,14 @@ proptest! {
         kinds in proptest::collection::vec(0usize..6, 10),
         patterns in proptest::collection::vec(0u32..16, 12),
     ) {
-        use tm_async::gatesim::{run_return_to_zero, LatencyReport, ParallelEventSim, Simulator};
-
-        let gate = |k: usize| match k {
-            0 => CellKind::And2,
-            1 => CellKind::Or2,
-            2 => CellKind::Nand2,
-            3 => CellKind::Nor2,
-            4 => CellKind::Xor2,
-            _ => CellKind::Aoi21,
+        use tm_async::gatesim::{
+            try_run_return_to_zero, FaultPlan, LatencyReport, ParallelEventSim, Simulator,
         };
+
         // Four primary inputs, then a layered cone of combinational
         // cells (no C-elements/flip-flops: sharding requires a
         // history-independent spacer state).
-        let mut nl = Netlist::new("random_event");
-        let mut pool: Vec<NetId> = (0..4).map(|i| nl.add_input(format!("i{i}"))).collect();
-        for (idx, &k) in kinds.iter().enumerate() {
-            let kind = gate(k);
-            let n = pool.len();
-            let ins: Vec<NetId> = (0..kind.input_count())
-                .map(|p| pool[(idx + p * 3) % n])
-                .collect();
-            let out = nl.add_cell(format!("g{idx}"), kind, &ins).expect("cell");
-            pool.push(out);
-        }
-        nl.add_output("y", *pool.last().expect("nonempty"));
+        let nl = random_cone("random_event", &kinds);
 
         let operands: Vec<Vec<bool>> = patterns
             .iter()
@@ -461,15 +430,21 @@ proptest! {
         let mut streamed = Simulator::new(&nl, &library);
         let expected: Vec<_> = operands
             .iter()
-            .map(|operand| run_return_to_zero(&mut streamed, operand))
+            .map(|operand| try_run_return_to_zero(&mut streamed, operand).expect("settles"))
             .collect();
         let expected_report = LatencyReport::from_runs(&expected);
 
         for threads in [1usize, 2, 7] {
             let sim = ParallelEventSim::new(&nl, &library, threads);
-            let (runs, report) = sim.run_operands_with_report(&operands);
+            let runs: Vec<_> = sim
+                .run_operands_faulted(&operands, &FaultPlan::new(), None)
+                .into_iter()
+                .collect::<Result<_, _>>()
+                .expect("a healthy combinational netlist settles");
             prop_assert_eq!(&runs, &expected, "threads {}", threads);
-            prop_assert_eq!(&report, &expected_report, "threads {}", threads);
+            prop_assert_eq!(
+                &LatencyReport::from_runs(&runs), &expected_report, "threads {}", threads
+            );
         }
     }
 }
@@ -776,8 +751,9 @@ proptest! {
     // and request counts small.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Serving through the event-driven and dual-rail simulation
-    /// backends also reproduces the golden outcomes exactly, with
+    /// Serving through every kernel of the two simulation adapters
+    /// (event-driven scalar/sliced, dual-rail scalar/sliced/pipelined)
+    /// also reproduces the golden outcomes exactly, with
     /// thread-count-invariant reports under a fixed service model —
     /// the serving layer composes with the reset-phase sharding
     /// contract unchanged.
@@ -787,10 +763,18 @@ proptest! {
         requests in 1usize..12,
     ) {
         use tm_async::datapath::{BatchGoldenModel, InferenceWorkload};
+        use tm_async::dualrail::PipelineConfig;
         use tm_async::serve::{
-            Backend, DualRailBackend, EventDrivenBackend, ServeConfig, Server, ServeReport,
-            ServiceModel, Trace,
+            Backend, DualRailBackend, DualRailKernel, EventDrivenBackend, EventKernel,
+            ServeConfig, Server, ServeReport, ServiceModel, Trace,
         };
+
+        /// Every kernel of the two simulation adapters.
+        #[derive(Clone, Copy)]
+        enum Kernel {
+            Event(EventKernel),
+            DualRail(DualRailKernel),
+        }
 
         let config = DatapathConfig::new(3, 2).expect("valid");
         let workload = InferenceWorkload::random(&config, 8, 0.6, seed).expect("workload");
@@ -809,23 +793,27 @@ proptest! {
             server.run(&trace).expect("serve run")
         };
 
-        for backend_kind in ["event_driven", "dual_rail"] {
+        for kernel in [
+            Kernel::Event(EventKernel::Scalar),
+            Kernel::Event(EventKernel::Sliced),
+            Kernel::DualRail(DualRailKernel::Scalar),
+            Kernel::DualRail(DualRailKernel::Sliced),
+            Kernel::DualRail(DualRailKernel::Pipelined(PipelineConfig::default())),
+        ] {
             let mut reference: Option<ServeReport> = None;
             for threads in [1usize, 2, 7] {
-                let backend: Box<dyn Backend + Send> = match backend_kind {
-                    "event_driven" => Box::new(
-                        EventDrivenBackend::new(
-                            &model, &library, workload.masks().clone(), threads,
-                        )
-                        .expect("backend"),
+                let masks = workload.masks().clone();
+                let backend: Box<dyn Backend + Send> = match kernel {
+                    Kernel::Event(kernel) => Box::new(
+                        EventDrivenBackend::with_kernel(&model, &library, masks, threads, kernel)
+                            .expect("backend"),
                     ),
-                    _ => Box::new(
-                        DualRailBackend::new(
-                            &datapath, &library, workload.masks().clone(), threads,
-                        )
-                        .expect("backend"),
+                    Kernel::DualRail(kernel) => Box::new(
+                        DualRailBackend::with_kernel(&datapath, &library, masks, threads, kernel)
+                            .expect("backend"),
                     ),
                 };
+                let backend_kind = backend.name();
                 let report = run(backend);
                 for record in &report.served {
                     prop_assert_eq!(
@@ -869,29 +857,10 @@ proptest! {
         lanes in 1usize..=64,
     ) {
         use tm_async::gatesim::{
-            run_return_to_zero, run_word_return_to_zero, Simulator, SlicedSimulator,
+            try_run_return_to_zero, try_run_word_return_to_zero, Simulator, SlicedSimulator,
         };
 
-        let gate = |k: usize| match k {
-            0 => CellKind::And2,
-            1 => CellKind::Or2,
-            2 => CellKind::Nand2,
-            3 => CellKind::Nor2,
-            4 => CellKind::Xor2,
-            _ => CellKind::Aoi21,
-        };
-        let mut nl = Netlist::new("random_sliced");
-        let mut pool: Vec<NetId> = (0..4).map(|i| nl.add_input(format!("i{i}"))).collect();
-        for (idx, &k) in kinds.iter().enumerate() {
-            let kind = gate(k);
-            let n = pool.len();
-            let ins: Vec<NetId> = (0..kind.input_count())
-                .map(|p| pool[(idx + p * 3) % n])
-                .collect();
-            let out = nl.add_cell(format!("g{idx}"), kind, &ins).expect("cell");
-            pool.push(out);
-        }
-        nl.add_output("y", *pool.last().expect("nonempty"));
+        let nl = random_cone("random_sliced", &kinds);
 
         // Operand `lane` takes input bit i from stimulus word i.
         let operands: Vec<Vec<bool>> = (0..lanes)
@@ -902,11 +871,11 @@ proptest! {
         let mut scalar = Simulator::new(&nl, &library);
         let expected: Vec<_> = operands
             .iter()
-            .map(|operand| run_return_to_zero(&mut scalar, operand))
+            .map(|operand| try_run_return_to_zero(&mut scalar, operand).expect("settles"))
             .collect();
 
         let mut sliced = SlicedSimulator::new(&nl, &library);
-        let runs = run_word_return_to_zero(&mut sliced, &operands);
+        let runs = try_run_word_return_to_zero(&mut sliced, &operands).expect("settles");
         prop_assert_eq!(&runs, &expected, "lanes {}", lanes);
     }
 }
@@ -1000,9 +969,9 @@ proptest! {
 
     /// Installing an empty [`FaultPlan`] changes nothing: the scalar
     /// simulator, the 64-wide bit-sliced simulator and both sharded
-    /// fault entry points (per-operand and per-word, at thread counts
+    /// operand runners (per-operand and per-word, at thread counts
     /// {1, 2, 7}) produce runs bit-identical — outputs, latencies and
-    /// event counts — to the same engine with no plan installed, on
+    /// event counts — to the streamed engine with no plan installed, on
     /// random combinational netlists.  This is the contract that lets
     /// the fault campaign share one code path for healthy and faulted
     /// sweeps.
@@ -1012,30 +981,11 @@ proptest! {
         patterns in proptest::collection::vec(0u32..16, 10),
     ) {
         use tm_async::gatesim::{
-            run_return_to_zero, run_word_return_to_zero, FaultPlan, ParallelEventSim, Simulator,
-            SlicedSimulator,
+            try_run_return_to_zero, try_run_word_return_to_zero, FaultPlan, ParallelEventSim,
+            Simulator, SlicedSimulator,
         };
 
-        let gate = |k: usize| match k {
-            0 => CellKind::And2,
-            1 => CellKind::Or2,
-            2 => CellKind::Nand2,
-            3 => CellKind::Nor2,
-            4 => CellKind::Xor2,
-            _ => CellKind::Aoi21,
-        };
-        let mut nl = Netlist::new("random_faultfree");
-        let mut pool: Vec<NetId> = (0..4).map(|i| nl.add_input(format!("i{i}"))).collect();
-        for (idx, &k) in kinds.iter().enumerate() {
-            let kind = gate(k);
-            let n = pool.len();
-            let ins: Vec<NetId> = (0..kind.input_count())
-                .map(|p| pool[(idx + p * 3) % n])
-                .collect();
-            let out = nl.add_cell(format!("g{idx}"), kind, &ins).expect("cell");
-            pool.push(out);
-        }
-        nl.add_output("y", *pool.last().expect("nonempty"));
+        let nl = random_cone("random_faultfree", &kinds);
 
         let operands: Vec<Vec<bool>> = patterns
             .iter()
@@ -1049,39 +999,39 @@ proptest! {
         let mut healthy = Simulator::new(&nl, &library);
         let expected: Vec<_> = operands
             .iter()
-            .map(|operand| run_return_to_zero(&mut healthy, operand))
+            .map(|operand| try_run_return_to_zero(&mut healthy, operand).expect("settles"))
             .collect();
         let mut overlaid = Simulator::new(&nl, &library);
         overlaid.set_fault_plan(&empty);
         let got: Vec<_> = operands
             .iter()
-            .map(|operand| run_return_to_zero(&mut overlaid, operand))
+            .map(|operand| try_run_return_to_zero(&mut overlaid, operand).expect("settles"))
             .collect();
         prop_assert_eq!(&got, &expected, "scalar");
 
         // Bit-sliced engine: one word carrying every operand.
         let mut healthy_sliced = SlicedSimulator::new(&nl, &library);
-        let expected_sliced = run_word_return_to_zero(&mut healthy_sliced, &operands);
+        let expected_sliced =
+            try_run_word_return_to_zero(&mut healthy_sliced, &operands).expect("settles");
         let mut overlaid_sliced = SlicedSimulator::new(&nl, &library);
         overlaid_sliced.set_fault_plan(&empty);
-        let got_sliced = run_word_return_to_zero(&mut overlaid_sliced, &operands);
+        let got_sliced =
+            try_run_word_return_to_zero(&mut overlaid_sliced, &operands).expect("settles");
         prop_assert_eq!(&got_sliced, &expected_sliced, "sliced");
 
-        // Sharded engines: the faulted entry points with an empty plan
-        // and no horizon must match the plain ones at every thread
-        // count, per-operand and per-word alike.
+        // Sharded engines: the planned runners with an empty plan and
+        // no horizon must match the streamed, never-planned references
+        // at every thread count, per-operand and per-word alike.
         for threads in [1usize, 2, 7] {
             let sim = ParallelEventSim::new(&nl, &library, threads);
 
-            let baseline = sim.run_operands(&operands);
             let faulted: Vec<_> = sim
                 .run_operands_faulted(&operands, &empty, None)
                 .into_iter()
                 .collect::<Result<_, _>>()
                 .expect("an empty plan cannot trip the watchdog");
-            prop_assert_eq!(&faulted, &baseline, "parallel scalar, threads {}", threads);
+            prop_assert_eq!(&faulted, &expected, "parallel scalar, threads {}", threads);
 
-            let sliced_baseline = sim.run_operands_sliced(&operands);
             let sliced_faulted: Vec<_> = sim
                 .run_operands_sliced_faulted(&operands, &empty, None)
                 .into_iter()
@@ -1089,7 +1039,7 @@ proptest! {
                 .expect("an empty plan cannot trip the watchdog");
             prop_assert_eq!(
                 &sliced_faulted,
-                &sliced_baseline,
+                &expected_sliced,
                 "parallel sliced, threads {}",
                 threads
             );
