@@ -12,7 +12,7 @@
 use celllib::Library;
 use datapath::{CompletionScheme, DatapathOptions, DualRailDatapath};
 use dualrail::ProtocolDriver;
-use gatesim::LatencyStats;
+use gatesim::LatencyReport;
 
 use crate::workloads::{standard_config, standard_workload};
 
@@ -75,8 +75,8 @@ fn measure(variant: &str, options: DatapathOptions, operands: usize, seed: u64) 
         .expect("workload matches");
 
     let mut driver = ProtocolDriver::new(dp.circuit(), &library).expect("driver initialises");
-    let mut data_latency = LatencyStats::new();
-    let mut done_latency = LatencyStats::new();
+    let mut data_latency = LatencyReport::default();
+    let mut done_latency = LatencyReport::default();
     for operand in &bits {
         let result = driver
             .apply_operand(operand)
@@ -92,8 +92,8 @@ fn measure(variant: &str, options: DatapathOptions, operands: usize, seed: u64) 
         cell_area_um2: library.total_area_um2(dp.netlist()),
         cd_gates: dp.completion().gates_added,
         cd_c_elements: dp.completion().c_elements_added,
-        average_latency_ps: data_latency.average(),
-        average_done_ps: done_latency.average(),
+        average_latency_ps: data_latency.average_ps(),
+        average_done_ps: done_latency.average_ps(),
     }
 }
 

@@ -26,6 +26,8 @@ const OBS_OPERANDS: usize = 96;
 /// Chrome trace stays readable in a viewer.
 const OBS_REQUESTS: usize = 256;
 
+use tm_obs::Json;
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
     let operands: usize = args
@@ -71,25 +73,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         println!("\ncapturing observability artifacts ({OBS_OPERANDS} operands, {OBS_REQUESTS} requests)");
         let obs = tm_async_bench::obs_capture::capture(OBS_OPERANDS, OBS_REQUESTS, 2021);
-        let meta = format!(
-            "{{\"lanes\": {}, \"available_threads\": {}, \"event_limit\": {}, \
-             \"lint\": {{\"codes_checked\": {}, \"findings\": {}, \"errors\": {}}}, \
-             \"metrics\": {}}}",
-            netlist::LANES,
-            std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-            gatesim::Simulator::DEFAULT_EVENT_LIMIT,
-            lint.codes_checked.len(),
-            lint.diagnostics.len(),
-            lint.error_count(),
-            obs.snapshot.to_json().trim_end(),
-        );
-        let combined = format!(
-            "{{\n\"meta\": {},\n\"throughput\": {},\n\"serve_sweep\": {}\n}}\n",
-            meta,
-            throughput.to_json().trim_end(),
-            serving.to_json().trim_end(),
-        );
-        std::fs::write(&path, combined)?;
+        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        let lint = Json::object([
+            ("codes_checked", Json::from(lint.codes_checked.len())),
+            ("findings", Json::from(lint.diagnostics.len())),
+            ("errors", Json::from(lint.error_count())),
+        ]);
+        let meta = Json::object([
+            ("lanes", Json::from(netlist::LANES)),
+            ("available_threads", Json::from(threads)),
+            (
+                "event_limit",
+                gatesim::Simulator::DEFAULT_EVENT_LIMIT.into(),
+            ),
+            ("lint", lint),
+            ("metrics", Json::Raw(obs.snapshot.to_json())),
+        ]);
+        let combined = Json::object([
+            ("meta", meta),
+            ("throughput", Json::Raw(throughput.to_json())),
+            ("serve_sweep", Json::Raw(serving.to_json())),
+        ]);
+        std::fs::write(&path, combined.to_string())?;
         println!("wrote {path}");
 
         let stem = path.strip_suffix(".json").unwrap_or(&path);

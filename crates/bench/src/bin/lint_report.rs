@@ -16,6 +16,7 @@ use celllib::Library;
 use datapath::{CompletionScheme, DatapathOptions, DualRailDatapath, SingleRailDatapath};
 use tm_async_bench::workloads::standard_config;
 use tm_lint::{lint_dual_rail, lint_netlist, LintConfig, LintReport};
+use tm_obs::Json;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -53,9 +54,8 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let body: Vec<String> = reports.iter().map(LintReport::to_json).collect();
-        let doc = format!("[\n{}\n]\n", body.join(",\n"));
-        std::fs::write(&path, doc).expect("write JSON report");
+        let doc = Json::array(reports.iter().map(|r| Json::Raw(r.to_json())));
+        std::fs::write(&path, doc.to_string()).expect("write JSON report");
         println!("wrote {path}");
     }
 

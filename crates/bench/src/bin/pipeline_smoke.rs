@@ -15,12 +15,11 @@
 use celllib::Library;
 use datapath::{DualRailDatapath, DualRailInference, InferenceWorkload};
 use dualrail::{Occupancy, PipelineConfig, ProtocolDriver};
+use gatesim::LatencyReport;
 use tm_async_bench::workloads::{standard_config, standard_workload};
 
 fn median(values: impl Iterator<Item = f64>) -> f64 {
-    let mut values: Vec<f64> = values.collect();
-    values.sort_by(f64::total_cmp);
-    values[values.len() / 2]
+    LatencyReport::from_latencies(values.collect()).median_ps()
 }
 
 fn main() {

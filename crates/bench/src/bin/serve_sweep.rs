@@ -4,9 +4,9 @@
 //! Usage: `cargo run -p tm-async-bench --release --bin serve_sweep
 //! [requests] [json-path]`
 //!
-//! The recorded sweep from PR 5 (`BENCH_PR5.json`) was written by this
-//! bin; since PR 6 the combined record (`BENCH_PR6.json`, throughput
-//! rows + serving sweep) is regenerated with the `bench_record` bin.
+//! The combined records at the repository root (`BENCH_*.json`:
+//! throughput rows and serving sweep in one document) are written by
+//! the `bench_record` bin; this bin records the sweep alone.
 //!
 //! Every served outcome is verified against the workload's golden
 //! outcome inside the serving runtime before its timing is accepted.

@@ -4,10 +4,10 @@
 //! Usage: `cargo run -p tm-async-bench --release --bin throughput
 //! [operands] [json-path]`
 //!
-//! The recorded comparison at the repository root (`BENCH_PR6.json`,
-//! throughput rows + serving sweep in one document) is regenerated
-//! with the `bench_record` bin; this bin records the throughput
-//! report alone.
+//! The combined records at the repository root (`BENCH_*.json`:
+//! throughput rows and serving sweep in one document) are written by
+//! the `bench_record` bin; this bin records the throughput report
+//! alone.
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);

@@ -15,7 +15,7 @@
 use celllib::Library;
 use datapath::{DualRailDatapath, InferenceWorkload};
 use dualrail::ProtocolDriver;
-use gatesim::LatencyStats;
+use gatesim::LatencyReport;
 
 use crate::workloads::{standard_config, standard_workload};
 
@@ -32,7 +32,7 @@ pub struct WorkloadDistribution {
     /// (index 0 = bit 0, …; the last bucket counts equal operands).
     pub decision_bit: Vec<usize>,
     /// Measured spacer→valid latency statistics.
-    pub latency: LatencyStats,
+    pub latency: LatencyReport,
 }
 
 /// The complete distribution experiment.
@@ -52,8 +52,8 @@ impl Distributions {
             out.push_str(&format!("== workload: {} ==\n", w.name));
             out.push_str(&format!(
                 "latency: avg {:.0} ps, max {:.0} ps over {} operands\n",
-                w.latency.average(),
-                w.latency.maximum(),
+                w.latency.average_ps(),
+                w.latency.max_ps(),
                 w.latency.count()
             ));
             out.push_str("positive votes: ");
@@ -108,7 +108,7 @@ fn analyse(
 
     let mut driver = ProtocolDriver::new(dp.circuit(), library).expect("driver initialises");
     let operands = workload.dual_rail_operands(dp).expect("workload matches");
-    let mut latency = LatencyStats::new();
+    let mut latency = LatencyReport::default();
     for operand in &operands {
         let result = driver
             .apply_operand(operand)
@@ -157,7 +157,7 @@ mod tests {
             assert_eq!(w.positive_votes.iter().sum::<usize>(), 8);
             assert_eq!(w.negative_votes.iter().sum::<usize>(), 8);
             assert_eq!(w.decision_bit.iter().sum::<usize>(), 8);
-            assert!(w.latency.average() > 0.0);
+            assert!(w.latency.average_ps() > 0.0);
         }
         assert!(result.render().contains("decision bit"));
     }

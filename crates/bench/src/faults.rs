@@ -48,6 +48,7 @@ use gatesim::{
     SlicedSimulator,
 };
 use netlist::{NetId, Netlist};
+use tm_obs::Json;
 
 /// Simulated-time watchdog for every faulted settle phase (per rebased
 /// phase frame): generous against the healthy sub-nanosecond cycles,
@@ -232,76 +233,65 @@ impl FaultCampaignReport {
         out
     }
 
-    /// Renders the report as a JSON document (hand-rolled; the
-    /// workspace has no serde).
+    /// Renders the report as a JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"experiment\": \"fault_campaign\",\n");
-        out.push_str(&format!(
-            "  \"meta\": {{\"lanes\": {}, \"threads\": {}, \"event_limit\": {}, \
-             \"horizon_ps\": {:.0}, \"operands\": {}, \"sites\": {}, \"seed\": {}}},\n",
-            self.meta.lanes,
-            self.meta.threads,
-            self.meta.event_limit,
-            self.meta.horizon_ps,
-            self.meta.operands,
-            self.meta.sites,
-            self.meta.seed,
-        ));
-        out.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"engine\": \"{}\", \"fault\": \"{}\", \"net\": {}, \"masked\": {}, \
-                 \"detected\": {}, \"timeout\": {}, \"silent\": {}}}{}\n",
-                row.engine,
-                row.kind,
-                row.net,
-                row.counts.masked,
-                row.counts.detected,
-                row.counts.timeout,
-                row.counts.silent,
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n  \"coverage\": [\n");
-        for (i, cov) in self.coverage.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"engine\": \"{}\", \"corrupting\": {}, \"detected\": {}, \
-                 \"timeout\": {}, \"silent\": {}, \"detection_coverage\": {:.4}}}{}\n",
-                cov.engine,
-                cov.totals.corrupting(),
-                cov.totals.detected,
-                cov.totals.timeout,
-                cov.totals.silent,
-                cov.detection_coverage,
-                if i + 1 == self.coverage.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("  ],\n  \"accuracy_under_fault\": [\n");
-        for (i, row) in self.accuracy.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"engine\": \"{}\", \"stuck_faults\": {}, \"accuracy\": {:.4}, \
-                 \"masked\": {}, \"detected\": {}, \"timeout\": {}, \"silent\": {}}}{}\n",
-                row.engine,
-                row.stuck_faults,
-                row.accuracy,
-                row.counts.masked,
-                row.counts.detected,
-                row.counts.timeout,
-                row.counts.silent,
-                if i + 1 == self.accuracy.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let counts = |c: &Classification| {
+            [
+                ("masked", Json::from(c.masked)),
+                ("detected", Json::from(c.detected)),
+                ("timeout", Json::from(c.timeout)),
+                ("silent", Json::from(c.silent)),
+            ]
+        };
+        let rows = self.rows.iter().map(|row| {
+            let mut fields = vec![
+                ("engine", Json::from(row.engine)),
+                ("fault", Json::from(row.kind)),
+                ("net", Json::from(row.net)),
+            ];
+            fields.extend(counts(&row.counts));
+            Json::object(fields)
+        });
+        let coverage = self.coverage.iter().map(|cov| {
+            Json::object([
+                ("engine", Json::from(cov.engine)),
+                ("corrupting", Json::from(cov.totals.corrupting())),
+                ("detected", Json::from(cov.totals.detected)),
+                ("timeout", Json::from(cov.totals.timeout)),
+                ("silent", Json::from(cov.totals.silent)),
+                ("detection_coverage", Json::Fixed(cov.detection_coverage, 4)),
+            ])
+        });
+        let accuracy = self.accuracy.iter().map(|row| {
+            let mut fields = vec![
+                ("engine", Json::from(row.engine)),
+                ("stuck_faults", Json::from(row.stuck_faults)),
+                ("accuracy", Json::Fixed(row.accuracy, 4)),
+            ];
+            fields.extend(counts(&row.counts));
+            Json::object(fields)
+        });
+        let meta = &self.meta;
+        Json::object([
+            ("experiment", Json::from("fault_campaign")),
+            (
+                "meta",
+                Json::object([
+                    ("lanes", Json::from(meta.lanes)),
+                    ("threads", Json::from(meta.threads)),
+                    ("event_limit", Json::from(meta.event_limit)),
+                    ("horizon_ps", Json::Fixed(meta.horizon_ps, 0)),
+                    ("operands", Json::from(meta.operands)),
+                    ("sites", Json::from(meta.sites)),
+                    ("seed", Json::from(meta.seed)),
+                ]),
+            ),
+            ("rows", Json::array(rows)),
+            ("coverage", Json::array(coverage)),
+            ("accuracy_under_fault", Json::array(accuracy)),
+        ])
+        .to_string()
     }
 
     /// The coverage entry of one engine.
@@ -672,6 +662,7 @@ mod tests {
             assert_eq!(row.accuracy, 1.0);
         }
         let json = report.to_json();
+        tm_obs::json_is_well_formed(&json).unwrap();
         assert!(json.contains("\"experiment\": \"fault_campaign\""));
         assert!(json.contains("\"lanes\": 64"));
         assert!(json.contains("\"event_limit\""));

@@ -62,18 +62,10 @@ impl Fig3 {
     /// magnitude).
     #[must_use]
     pub fn dynamic_range(&self) -> f64 {
-        let max = self
-            .points
-            .iter()
-            .map(|p| p.average_latency_ps)
-            .fold(0.0, f64::max);
-        let min = self
-            .points
-            .iter()
-            .map(|p| p.average_latency_ps)
-            .fold(f64::INFINITY, f64::min);
-        if min > 0.0 {
-            max / min
+        let averages = self.points.iter().map(|p| p.average_latency_ps).collect();
+        let averages = gatesim::LatencyReport::from_latencies(averages);
+        if averages.min_ps() > 0.0 {
+            averages.max_ps() / averages.min_ps()
         } else {
             0.0
         }
@@ -107,7 +99,7 @@ pub fn run(voltages: &[f64], operands: usize, seed: u64) -> Fig3 {
         let mut driver =
             ProtocolDriver::new(dp.circuit(), &library).expect("protocol driver initialises");
         let mut functional = true;
-        let mut stats = gatesim::LatencyStats::new();
+        let mut stats = gatesim::LatencyReport::default();
         for (operand, expected) in operand_bits.iter().zip(standard.workload.expected()) {
             let result = driver
                 .apply_operand(operand)
@@ -120,8 +112,8 @@ pub fn run(voltages: &[f64], operands: usize, seed: u64) -> Fig3 {
         }
         points.push(Fig3Point {
             supply_v,
-            average_latency_ps: stats.average(),
-            max_latency_ps: stats.maximum(),
+            average_latency_ps: stats.average_ps(),
+            max_latency_ps: stats.max_ps(),
             functional,
         });
     }

@@ -22,6 +22,7 @@
 
 use celllib::Library;
 use datapath::{BatchGoldenModel, DualRailDatapath, InferenceWorkload};
+use tm_obs::Json;
 use tm_serve::{
     AdmissionPolicy, Backend, BatchBackend, DualRailBackend, DualRailKernel, EventDrivenBackend,
     EventKernel, ParallelBatchBackend, ServeConfig, ServeSummary, Server, ServiceModel, Trace,
@@ -93,43 +94,36 @@ impl ServeSweepReport {
         out
     }
 
-    /// Renders the report as a JSON document (hand-rolled; the
-    /// workspace has no serde).
+    /// Renders the report as a JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out =
-            String::from("{\n  \"experiment\": \"serve_saturation_sweep\",\n  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
+        let rows = self.rows.iter().map(|row| {
             let s = &row.summary;
-            out.push_str(&format!(
-                "    {{\"strategy\": \"{}\", \"pattern\": \"{}\", \"load_factor\": {:.2}, \
-                 \"offered_qps\": {:.1}, \"achieved_qps\": {:.1}, \"served\": {}, \"shed\": {}, \
-                 \"batches\": {}, \"mean_batch\": {:.2}, \
-                 \"queue_p50_ns\": {:.0}, \"queue_p95_ns\": {:.0}, \"queue_p99_ns\": {:.0}, \
-                 \"service_p50_ns\": {:.0}, \"service_p95_ns\": {:.0}, \"service_p99_ns\": {:.0}}}{}\n",
-                row.strategy,
-                row.pattern,
-                row.load_factor,
-                s.offered_qps,
-                s.achieved_qps,
-                s.served,
-                s.shed,
-                s.batches,
-                s.mean_batch_size,
-                s.queue_p50_ns,
-                s.queue_p95_ns,
-                s.queue_p99_ns,
-                s.service_p50_ns,
-                s.service_p95_ns,
-                s.service_p99_ns,
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str(&format!(
-            "  ],\n  \"requests_per_point\": {},\n  \"workload_accuracy\": {:.4}\n}}\n",
-            self.requests, self.workload_accuracy
-        ));
-        out
+            Json::object([
+                ("strategy", Json::from(row.strategy.as_str())),
+                ("pattern", Json::from(row.pattern.as_str())),
+                ("load_factor", Json::Fixed(row.load_factor, 2)),
+                ("offered_qps", Json::Fixed(s.offered_qps, 1)),
+                ("achieved_qps", Json::Fixed(s.achieved_qps, 1)),
+                ("served", Json::from(s.served)),
+                ("shed", Json::from(s.shed)),
+                ("batches", Json::from(s.batches)),
+                ("mean_batch", Json::Fixed(s.mean_batch_size, 2)),
+                ("queue_p50_ns", Json::Fixed(s.queue_p50_ns, 0)),
+                ("queue_p95_ns", Json::Fixed(s.queue_p95_ns, 0)),
+                ("queue_p99_ns", Json::Fixed(s.queue_p99_ns, 0)),
+                ("service_p50_ns", Json::Fixed(s.service_p50_ns, 0)),
+                ("service_p95_ns", Json::Fixed(s.service_p95_ns, 0)),
+                ("service_p99_ns", Json::Fixed(s.service_p99_ns, 0)),
+            ])
+        });
+        Json::object([
+            ("experiment", Json::from("serve_saturation_sweep")),
+            ("rows", Json::array(rows)),
+            ("requests_per_point", Json::from(self.requests)),
+            ("workload_accuracy", Json::Fixed(self.workload_accuracy, 4)),
+        ])
+        .to_string()
     }
 
     /// All rows of one backend.
@@ -347,7 +341,7 @@ mod tests {
         assert!(json.contains("\"serve_dualrail_sliced_qps\""));
         assert!(json.contains("\"serve_dualrail_pipelined_qps\""));
         assert!(json.contains("\"queue_p99_ns\""));
-        assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
+        tm_obs::json_is_well_formed(&json).unwrap();
         assert!(report.render().contains("serve_dual_rail_qps"));
     }
 }

@@ -8,7 +8,7 @@
 //! latency statistics and the static critical path (or the synchronous
 //! clock period).
 
-use gatesim::LatencyStats;
+use gatesim::LatencyReport;
 
 /// Comparison between measured (early-propagative) latency and a static
 /// worst-case reference.
@@ -33,11 +33,11 @@ impl EarlyPropagationReport {
     ///
     /// Panics if `reference_ps` is not positive.
     #[must_use]
-    pub fn from_stats(stats: &LatencyStats, reference_ps: f64) -> Self {
+    pub fn from_stats(stats: &LatencyReport, reference_ps: f64) -> Self {
         assert!(reference_ps > 0.0, "reference delay must be positive");
         Self {
-            average_latency_ps: stats.average(),
-            max_latency_ps: stats.maximum(),
+            average_latency_ps: stats.average_ps(),
+            max_latency_ps: stats.max_ps(),
             reference_ps,
             samples: stats.count(),
         }
@@ -70,12 +70,8 @@ impl EarlyPropagationReport {
 mod tests {
     use super::*;
 
-    fn stats(values: &[f64]) -> LatencyStats {
-        let mut s = LatencyStats::new();
-        for &v in values {
-            s.record(v);
-        }
-        s
+    fn stats(values: &[f64]) -> LatencyReport {
+        LatencyReport::from_latencies(values.to_vec())
     }
 
     #[test]
@@ -90,7 +86,7 @@ mod tests {
 
     #[test]
     fn empty_stats_do_not_divide_by_zero() {
-        let report = EarlyPropagationReport::from_stats(&LatencyStats::new(), 1000.0);
+        let report = EarlyPropagationReport::from_stats(&LatencyReport::default(), 1000.0);
         assert_eq!(report.average_speedup(), 0.0);
         assert_eq!(report.average_to_max_ratio(), 0.0);
     }

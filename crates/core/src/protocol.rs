@@ -39,7 +39,7 @@
 use std::sync::Arc;
 
 use celllib::Library;
-use gatesim::{EngineProgram, FaultPlan, LatencyStats, Logic, Simulator};
+use gatesim::{EngineProgram, FaultPlan, LatencyReport, Logic, Simulator};
 use netlist::NetId;
 use sta::GracePeriod;
 
@@ -764,8 +764,8 @@ impl<'a> ProtocolDriver<'a> {
     pub fn run_workload(
         &mut self,
         workload: &[Vec<bool>],
-    ) -> Result<(LatencyStats, Vec<OperandResult>), DualRailError> {
-        let mut stats = LatencyStats::new();
+    ) -> Result<(LatencyReport, Vec<OperandResult>), DualRailError> {
+        let mut stats = LatencyReport::default();
         let mut results = Vec::with_capacity(workload.len());
         for operand in workload {
             let result = self.apply_operand(operand)?;
@@ -877,7 +877,7 @@ mod tests {
         let (stats, results) = driver.run_workload(&workload).unwrap();
         assert_eq!(stats.count(), 8);
         assert_eq!(results.len(), 8);
-        assert!(stats.maximum() >= stats.average());
+        assert!(stats.max_ps() >= stats.average_ps());
         assert!(driver.total_transitions() > 0);
         assert!(driver.now_ps() > 0.0);
     }

@@ -9,7 +9,7 @@
 //! `t_S→V`.  [`ThroughputReport`] derives all of these from a set of
 //! measured [`OperandResult`]s.
 
-use gatesim::LatencyStats;
+use gatesim::LatencyReport;
 
 use crate::OperandResult;
 
@@ -17,18 +17,18 @@ use crate::OperandResult;
 /// one workload.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ThroughputReport {
-    s_to_v: LatencyStats,
-    v_to_s: LatencyStats,
-    cycle: LatencyStats,
+    s_to_v: LatencyReport,
+    v_to_s: LatencyReport,
+    cycle: LatencyReport,
 }
 
 impl ThroughputReport {
     /// Builds a report from per-operand measurements.
     #[must_use]
     pub fn from_results(results: &[OperandResult]) -> Self {
-        let mut s_to_v = LatencyStats::new();
-        let mut v_to_s = LatencyStats::new();
-        let mut cycle = LatencyStats::new();
+        let mut s_to_v = LatencyReport::default();
+        let mut v_to_s = LatencyReport::default();
+        let mut cycle = LatencyReport::default();
         for r in results {
             s_to_v.record(r.s_to_v_latency_ps);
             v_to_s.record(r.v_to_s_latency_ps);
@@ -45,28 +45,28 @@ impl ThroughputReport {
     /// Latency").
     #[must_use]
     pub fn average_latency_ps(&self) -> f64 {
-        self.s_to_v.average()
+        self.s_to_v.average_ps()
     }
 
     /// Maximum spacer→valid latency in picoseconds (Table I "Max
     /// Latency").
     #[must_use]
     pub fn max_latency_ps(&self) -> f64 {
-        self.s_to_v.maximum()
+        self.s_to_v.max_ps()
     }
 
     /// Worst-case valid→spacer reset time in picoseconds (Table I
     /// `t_V→S`).
     #[must_use]
     pub fn v_to_s_ps(&self) -> f64 {
-        self.v_to_s.maximum()
+        self.v_to_s.max_ps()
     }
 
     /// Average full-cycle time (valid phase plus reset phase) in
     /// picoseconds.
     #[must_use]
     pub fn average_cycle_ps(&self) -> f64 {
-        self.cycle.average()
+        self.cycle.average_ps()
     }
 
     /// Average throughput in millions of inferences per second, taking
@@ -83,13 +83,13 @@ impl ThroughputReport {
 
     /// The underlying spacer→valid latency statistics.
     #[must_use]
-    pub fn latency_stats(&self) -> &LatencyStats {
+    pub fn latency_stats(&self) -> &LatencyReport {
         &self.s_to_v
     }
 
     /// The underlying valid→spacer statistics.
     #[must_use]
-    pub fn reset_stats(&self) -> &LatencyStats {
+    pub fn reset_stats(&self) -> &LatencyReport {
         &self.v_to_s
     }
 

@@ -1,6 +1,7 @@
 //! Machine-readable lint findings: diagnostic codes, severities and the
 //! [`LintReport`] container with text and JSON renderings.
 
+use gatesim::tm_obs::Json;
 use netlist::{CellId, NetId};
 
 /// How serious a finding is.
@@ -324,83 +325,49 @@ impl LintReport {
         format!("{}: {}", self.target, msgs.join("; "))
     }
 
-    /// Serialises the report as a JSON object (hand-rolled; the
-    /// workspace has no serde).
+    /// Serialises the report as a JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"target\": {}, \"errors\": {}, \"warnings\": {}, \"codes_checked\": [",
-            json_string(&self.target),
-            self.error_count(),
-            self.warning_count(),
-        );
-        for (i, code) in self.codes_checked.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\"", code.as_str());
-        }
-        out.push_str("], \"diagnostics\": [");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let nets: Vec<String> = d.nets.iter().map(|n| n.index().to_string()).collect();
-            let cells: Vec<String> = d.cells.iter().map(|c| c.index().to_string()).collect();
-            let _ = write!(
-                out,
-                "{{\"code\": \"{}\", \"family\": \"{}\", \"severity\": \"{}\", \
-                 \"message\": {}, \"nets\": [{}], \"cells\": [{}]}}",
-                d.code.as_str(),
-                d.code.family().as_str(),
-                d.severity.as_str(),
-                json_string(&d.message),
-                nets.join(", "),
-                cells.join(", "),
-            );
-        }
-        out.push_str("], \"stats\": ");
-        let hist: Vec<String> = self
-            .stats
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            Json::object([
+                ("code", Json::from(d.code.as_str())),
+                ("family", Json::from(d.code.family().as_str())),
+                ("severity", Json::from(d.severity.as_str())),
+                ("message", Json::from(d.message.as_str())),
+                ("nets", Json::array(d.nets.iter().map(|n| n.index().into()))),
+                (
+                    "cells",
+                    Json::array(d.cells.iter().map(|c| c.index().into())),
+                ),
+            ])
+        });
+        let stats = &self.stats;
+        let fanout_histogram = stats
             .fanout_histogram
             .iter()
-            .map(|(fanout, count)| format!("[{fanout}, {count}]"))
-            .collect();
-        let _ = write!(
-            out,
-            "{{\"cells\": {}, \"nets\": {}, \"sequential_cells\": {}, \
-             \"max_fanout\": {}, \"fanout_histogram\": [{}], \
-             \"settle_bound_ps\": {:.3}, \"max_join_skew_ps\": {:.3}}}}}",
-            self.stats.cells,
-            self.stats.nets,
-            self.stats.sequential_cells,
-            self.stats.max_fanout,
-            hist.join(", "),
-            self.stats.settle_bound_ps,
-            self.stats.max_join_skew_ps,
-        );
-        out
+            .map(|&(fanout, count)| Json::array([fanout.into(), count.into()]));
+        Json::object([
+            ("target", Json::from(self.target.as_str())),
+            ("errors", Json::from(self.error_count())),
+            ("warnings", Json::from(self.warning_count())),
+            (
+                "codes_checked",
+                Json::array(self.codes_checked.iter().map(|c| c.as_str().into())),
+            ),
+            ("diagnostics", Json::array(diagnostics)),
+            (
+                "stats",
+                Json::object([
+                    ("cells", Json::from(stats.cells)),
+                    ("nets", Json::from(stats.nets)),
+                    ("sequential_cells", Json::from(stats.sequential_cells)),
+                    ("max_fanout", Json::from(stats.max_fanout)),
+                    ("fanout_histogram", Json::array(fanout_histogram)),
+                    ("settle_bound_ps", Json::Fixed(stats.settle_bound_ps, 3)),
+                    ("max_join_skew_ps", Json::Fixed(stats.max_join_skew_ps, 3)),
+                ]),
+            ),
+        ])
+        .to_string()
     }
-}
-
-/// Escapes a string for embedding in JSON.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

@@ -41,6 +41,10 @@ fn every_mutation_kind_is_detected() {
             "mutant {} must carry at least one error-severity finding",
             kind.as_str()
         );
+        let json = report.to_json();
+        gatesim::tm_obs::json_is_well_formed(&json)
+            .unwrap_or_else(|e| panic!("mutant {} report JSON: {e}\n{json}", kind.as_str()));
+        assert!(json.contains(&format!("\"code\": \"{}\"", kind.expected_code().as_str())));
     }
 }
 

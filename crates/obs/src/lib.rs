@@ -11,7 +11,8 @@
 //! pays **no allocation and at most one branch per settle** (the
 //! disabled-overhead property tests pin this down).
 //!
-//! Three sub-layers, one per module:
+//! Three sub-layers, one per module, plus the JSON writer they export
+//! through:
 //!
 //! * [`metrics`] — [`MetricsRegistry`], [`Counter`] / [`Gauge`] /
 //!   [`Histogram`], and [`MetricsSnapshot`] whose merge is commutative
@@ -22,7 +23,9 @@
 //!   with dual-rail pairs annotated as 2-bit codeword vectors;
 //! * [`chrome`] — [`ChromeTrace`], a builder for the Chrome trace
 //!   event format used by the serving runtime's
-//!   arrival→admit→flush→dispatch→complete request lifecycle export.
+//!   arrival→admit→flush→dispatch→complete request lifecycle export;
+//! * [`json`] — [`Json`], the one JSON writer every report and export
+//!   in the workspace renders through, and [`json_is_well_formed`].
 //!
 //! # Example: metrics with deterministic merge
 //!
@@ -59,10 +62,12 @@
 //! ```
 
 pub mod chrome;
+pub mod json;
 pub mod metrics;
 pub mod vcd;
 
-pub use chrome::{escape_json, json_is_well_formed, ChromeTrace};
+pub use chrome::ChromeTrace;
+pub use json::{json_is_well_formed, Json};
 pub use metrics::{
     bucket_of, Counter, Gauge, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot,
     ProtocolMetrics, SimMetrics, HISTOGRAM_BUCKETS,

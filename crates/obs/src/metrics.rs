@@ -44,6 +44,8 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::json::Json;
+
 /// Number of histogram buckets: one for zero plus one per power of two
 /// up to `u64::MAX` (bucket `i >= 1` holds values in
 /// `[2^(i-1), 2^i - 1]`).
@@ -404,44 +406,42 @@ impl MetricsSnapshot {
     /// (name order, hence byte-deterministic).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, value)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\": ", crate::chrome::escape_json(name));
-            match value {
-                MetricValue::Counter { value } => {
-                    let _ = write!(out, "{{\"type\": \"counter\", \"value\": {value}}}");
-                }
-                MetricValue::Gauge { last, max } => {
-                    let _ = write!(
-                        out,
-                        "{{\"type\": \"gauge\", \"last\": {last}, \"max\": {max}}}"
-                    );
-                }
-                MetricValue::Histogram {
-                    count,
-                    sum,
-                    buckets,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"type\": \"histogram\", \"count\": {count}, \"sum\": {sum}, \
-                         \"buckets\": ["
-                    );
-                    for (j, (bucket, n)) in buckets.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        let _ = write!(out, "[{bucket}, {n}]");
-                    }
-                    out.push_str("]}");
-                }
-            }
-        }
-        out.push('}');
-        out
+        let metric = |value: &MetricValue| {
+            let fields =
+                match value {
+                    MetricValue::Counter { value } => vec![
+                        ("type", Json::from("counter")),
+                        ("value", Json::from(*value)),
+                    ],
+                    MetricValue::Gauge { last, max } => vec![
+                        ("type", Json::from("gauge")),
+                        ("last", Json::from(*last)),
+                        ("max", Json::from(*max)),
+                    ],
+                    MetricValue::Histogram {
+                        count,
+                        sum,
+                        buckets,
+                    } => vec![
+                        ("type", Json::from("histogram")),
+                        ("count", Json::from(*count)),
+                        ("sum", Json::from(*sum)),
+                        (
+                            "buckets",
+                            Json::array(buckets.iter().map(|&(bucket, n)| {
+                                Json::array([Json::Int(bucket.into()), n.into()])
+                            })),
+                        ),
+                    ],
+                };
+            Json::object(fields)
+        };
+        Json::object(
+            self.entries
+                .iter()
+                .map(|(name, value)| (name.as_str(), metric(value))),
+        )
+        .to_string()
     }
 
     /// Renders a short human-readable table (one instrument per line).

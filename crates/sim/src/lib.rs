@@ -74,7 +74,7 @@ pub mod value;
 pub use engine::{RunOutcome, Simulator, StepOutcome};
 pub use event::{Event, EventQueue, SimEvent};
 pub use fault::{FaultPlan, SettleError, SettlePhase, SeuPulse};
-pub use monitor::{LatencyReport, LatencyStats, PipelineReport, TransitionLog};
+pub use monitor::{LatencyReport, PipelineReport, TransitionLog};
 pub use parallel::{
     try_run_return_to_zero, OperandRun, ParallelEventSim, Replica, ShardingContract,
 };
@@ -82,3 +82,8 @@ pub use program::EngineProgram;
 pub use sliced::{lane_mask, try_run_word_return_to_zero, SlicedSimulator};
 pub use testbench::{run_combinational_vectors, run_synchronous_vectors, SyncRunResult};
 pub use value::Logic;
+
+/// The observability crate whose instruments the engines attach,
+/// re-exported so crates that depend on the simulator alone (the static
+/// verifier) render their reports through the same JSON writer.
+pub use tm_obs;

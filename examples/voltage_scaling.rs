@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     for supply in [1.2, 1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.25] {
         let library = base.with_supply_voltage(supply)?;
         let mut driver = ProtocolDriver::new(datapath.circuit(), &library)?;
-        let mut stats = tm_async::gatesim::LatencyStats::new();
+        let mut stats = tm_async::gatesim::LatencyReport::default();
         let mut correct = true;
         for (operand, expected) in operands.iter().zip(workload.expected()) {
             let result = driver.apply_operand(operand)?;
@@ -38,8 +38,8 @@ fn main() -> Result<(), Box<dyn Error>> {
             / operands.len() as f64;
         println!(
             "{supply:>8.2} {:>14.0} {:>14.0} {:>12.0} {:>12}",
-            stats.average(),
-            stats.maximum(),
+            stats.average_ps(),
+            stats.max_ps(),
             energy_per_op_fj,
             correct
         );
