@@ -3,12 +3,20 @@
 //! telemetry — on a Poisson trace against the batch backend, plus the
 //! batcher-free offline path for comparison.
 //!
+//! Criterion `dualrail_service` group: the service time of the
+//! dual-rail engine behind a serving backend, at the small batches of
+//! low-load serving — one long-lived single-thread
+//! `DualRailInference` answering batches of 1, 8 and 64 on the scalar
+//! and the 64-lane sliced kernel.  The minimum of the 30 samples is the
+//! best-of-30 figure of the per-call fixed-cost table in `ROADMAP.md`.
+//!
 //! The recorded saturation sweep lives in `BENCH_PR5.json` at the
 //! repository root (regenerate with
 //! `cargo run -p tm-async-bench --release --bin serve_sweep -- 2048 BENCH_PR5.json`).
 
+use celllib::Library;
 use criterion::{criterion_group, criterion_main, Criterion};
-use datapath::{BatchGoldenModel, BatchInference};
+use datapath::{BatchGoldenModel, BatchInference, DualRailDatapath, DualRailInference};
 use tm_async_bench::workloads::{standard_config, standard_workload};
 use tm_serve::{BatchBackend, ServeConfig, Server, Trace};
 
@@ -60,5 +68,34 @@ fn bench_serving(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_serving);
+fn bench_dualrail_service(c: &mut Criterion) {
+    let config = standard_config();
+    let standard = standard_workload(64, 2021);
+    let workload = &standard.workload;
+    let datapath = DualRailDatapath::generate(&config).expect("datapath generation");
+    let library = Library::umc_ll();
+    // Built once: every timed call after the first reuses the workers
+    // the previous call left idle, as a serving backend does.
+    let inference = DualRailInference::new(&datapath, &library, 1).expect("driver");
+    let masks = workload.masks();
+
+    let mut group = c.benchmark_group("dualrail_service");
+    group.sample_size(30);
+    for batch in [1, 8, 64] {
+        let features = &workload.feature_vectors()[..batch];
+        group.bench_function(format!("scalar_batch_{batch}"), |b| {
+            b.iter(|| inference.run_features(masks, features).expect("scalar run"))
+        });
+        group.bench_function(format!("sliced_batch_{batch}"), |b| {
+            b.iter(|| {
+                inference
+                    .run_features_sliced(masks, features)
+                    .expect("sliced run")
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_serving, bench_dualrail_service);
 criterion_main!(benches);

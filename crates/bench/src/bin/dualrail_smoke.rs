@@ -12,7 +12,10 @@
 //! reset-phase sharding contract.  The 64-wide bit-sliced driver is
 //! then run through the same gauntlet: golden-verified outcomes,
 //! shard-invariant full runs, and per-lane spacer→valid / `done`
-//! latencies bit-identical to the scalar driver.
+//! latencies bit-identical to the scalar driver.  Last, one long-lived
+//! instance answers three rounds of batch-1 and batch-64 calls on both
+//! kernels, each bit-identical to the same call on a fresh instance —
+//! the check that reusing idle workers across calls changes nothing.
 
 use celllib::Library;
 use datapath::{DualRailDatapath, DualRailInference, InferenceWorkload};
@@ -110,6 +113,39 @@ fn main() {
         sliced_runs[0], sliced_runs[1],
         "sliced runs must be shard-invariant"
     );
+
+    // Repeated calls on one instance reuse the workers earlier calls
+    // left idle; every call must equal the same call on a fresh one.
+    let masks = workload.masks();
+    let features: Vec<Vec<bool>> = workload
+        .feature_vectors()
+        .iter()
+        .cycle()
+        .take(64)
+        .cloned()
+        .collect();
+    let session = DualRailInference::new(&datapath, &library, 2).expect("driver");
+    for round in 0..3 {
+        for batch in [1, 64] {
+            let batch = &features[..batch];
+            let fresh = DualRailInference::new(&datapath, &library, 2).expect("driver");
+            assert_eq!(
+                session.run_features(masks, batch).expect("session run"),
+                fresh.run_features(masks, batch).expect("fresh run"),
+                "round {round}: scalar batch-{} session run drifted from a fresh instance",
+                batch.len()
+            );
+            assert_eq!(
+                session
+                    .run_features_sliced(masks, batch)
+                    .expect("session run"),
+                fresh.run_features_sliced(masks, batch).expect("fresh run"),
+                "round {round}: sliced batch-{} session run drifted from a fresh instance",
+                batch.len()
+            );
+        }
+    }
+    println!("repeated calls: 3 rounds of batch-1 and batch-64 bit-identical to fresh instances");
 
     println!("\nok: outcomes golden-verified, shard-invariant, contract held (scalar + sliced)");
 }

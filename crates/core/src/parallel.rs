@@ -30,6 +30,29 @@
 //! to a streamed single contract-mode driver at any thread count —
 //! property-tested at threads {1, 2, 7} in `tests/property_tests.rs`.
 //!
+//! # Persistent worker sessions
+//!
+//! Building a worker driver — replicating the simulator, settling the
+//! initial spacer, verifying it — costs about as much as a one-lane
+//! word, so at the small batches of low-load serving it would be most
+//! of the service time.  The driver therefore keeps its built worker
+//! drivers between calls, in one pool per kind (scalar, sliced and the
+//! two pipelined drivers) of at most [`ParallelProtocolDriver::threads`]
+//! entries.  A worker is checked out at the start of a call and only
+//! built when its pool is empty, which makes construction lazy: the
+//! first call pays for the workers it uses.  After the run a worker
+//! goes back into its pool only if every chunk it ran succeeded, its
+//! event queue is empty and its full net state (every lane, for the
+//! sliced kernels) equals the canonical quiescent snapshot — exactly
+//! the state a fresh worker starts from, so a reused worker yields
+//! bit-identical results.  Any other worker is dropped: a diverged
+//! sliced driver stays diverged, and a driver that failed the
+//! reset-phase check sits in a state no later cycle may start from.
+//! A pipelined driver is reused only for an equal [`PipelineConfig`].
+//! Changing the metrics routing or the monotonicity check empties
+//! every pool, because the pooled drivers carry the old handles and
+//! flags.
+//!
 //! # Example
 //!
 //! ```
@@ -56,7 +79,7 @@
 //! # }
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use celllib::Library;
 use exec::Executor;
@@ -105,9 +128,11 @@ impl ParallelProtocolRun {
 /// Drives a dual-rail netlist through four-phase cycles with the operand
 /// stream sharded across worker threads — outputs and per-operand
 /// latency/`done` statistics bit-identical to a streamed single
-/// contract-mode [`ProtocolDriver`] at any thread count.
+/// contract-mode [`ProtocolDriver`] at any thread count.  Built worker
+/// drivers persist between calls once verified idle.
 ///
-/// See the [module documentation](self) for the contract and an example.
+/// See the [module documentation](self) for the contract, the worker
+/// sessions and an example.
 #[derive(Debug)]
 pub struct ParallelProtocolDriver<'a> {
     circuit: &'a DualRailNetlist,
@@ -127,12 +152,67 @@ pub struct ParallelProtocolDriver<'a> {
     /// names, so commutative adds make snapshots thread-count
     /// invariant.
     metrics: Option<(Arc<tm_obs::MetricsRegistry>, String)>,
+    /// Idle worker drivers kept between calls, verified at `snapshot`.
+    pools: Pools<'a>,
+}
+
+/// One [`Pool`] per worker-driver kind.
+#[derive(Debug, Default)]
+struct Pools<'a> {
+    scalar: Pool<ProtocolDriver<'a>>,
+    sliced: Pool<SlicedProtocolDriver<'a>>,
+    pipelined: Pool<PipelinedProtocolDriver<'a>>,
+    pipelined_sliced: Pool<SlicedPipelinedProtocolDriver<'a>>,
+}
+
+impl Pools<'_> {
+    fn clear(&mut self) {
+        self.scalar.clear();
+        self.sliced.clear();
+        self.pipelined.clear();
+        self.pipelined_sliced.clear();
+    }
+}
+
+/// Idle worker drivers of one kind.  The lock is held only to pop or
+/// push, never across a run, so concurrent calls on one driver each
+/// check out their own workers.
+#[derive(Debug)]
+struct Pool<D>(Mutex<Vec<D>>);
+
+impl<D> Default for Pool<D> {
+    fn default() -> Self {
+        Self(Mutex::new(Vec::new()))
+    }
+}
+
+impl<D> Pool<D> {
+    fn take(&self) -> Option<D> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).pop()
+    }
+
+    /// Keeps `driver` unless `capacity` drivers are already idle.
+    fn put(&self, driver: D, capacity: usize) {
+        let mut idle = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if idle.len() < capacity {
+            idle.push(driver);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.0
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+    }
 }
 
 impl<'a> ParallelProtocolDriver<'a> {
     /// Compiles the circuit once, validates that it initialises to a
     /// settled quiescent state (captured as the contract snapshot) and
-    /// prepares `threads` workers (clamped to at least 1).
+    /// prepares `threads` workers (clamped to at least 1).  No worker
+    /// driver is built here: the first call that needs one builds it,
+    /// and later calls reuse it.
     ///
     /// # Errors
     ///
@@ -171,6 +251,7 @@ impl<'a> ParallelProtocolDriver<'a> {
             timing,
             check_monotonic: true,
             metrics: None,
+            pools: Pools::default(),
         })
     }
 
@@ -184,6 +265,7 @@ impl<'a> ParallelProtocolDriver<'a> {
     pub fn set_metrics(&mut self, registry: &Arc<tm_obs::MetricsRegistry>, prefix: &str) {
         self.sim.set_metrics(registry, prefix);
         self.metrics = Some((Arc::clone(registry), prefix.to_string()));
+        self.pools.clear();
     }
 
     /// Stops routing metrics; future runs revert to the zero-overhead
@@ -191,6 +273,7 @@ impl<'a> ParallelProtocolDriver<'a> {
     pub fn clear_metrics(&mut self) {
         self.sim.clear_metrics();
         self.metrics = None;
+        self.pools.clear();
     }
 
     /// Number of worker threads the operand stream is sharded across.
@@ -223,6 +306,7 @@ impl<'a> ParallelProtocolDriver<'a> {
     /// [`ProtocolDriver::set_monotonicity_check`]).
     pub fn set_monotonicity_check(&mut self, enabled: bool) {
         self.check_monotonic = enabled;
+        self.pools.clear();
     }
 
     /// Runs one full four-phase cycle per operand (one `Vec<bool>` with
@@ -232,7 +316,9 @@ impl<'a> ParallelProtocolDriver<'a> {
     /// latency report.
     ///
     /// Takes `&self`: all mutable state is per worker, so one driver can
-    /// serve many workloads (and several concurrently).
+    /// serve many workloads (and several concurrently), reusing its
+    /// verified idle workers from one call to the next (see the
+    /// [module documentation](self)).
     ///
     /// # Errors
     ///
@@ -245,7 +331,7 @@ impl<'a> ParallelProtocolDriver<'a> {
         &self,
         operands: &[Vec<bool>],
     ) -> Result<ParallelProtocolRun, DualRailError> {
-        self.run_sharded(operands, None, |sim| {
+        self.run_sharded(operands, None, &self.pools.scalar, |sim| {
             let mut driver = ProtocolDriver::from_simulator(self.circuit, sim)?;
             driver.set_monotonicity_check(self.check_monotonic);
             driver.enable_reset_contract(Arc::clone(&self.snapshot));
@@ -279,7 +365,7 @@ impl<'a> ParallelProtocolDriver<'a> {
         &self,
         operands: &[Vec<bool>],
     ) -> Result<ParallelProtocolRun, DualRailError> {
-        self.run_sharded(operands, None, |sim| {
+        self.run_sharded(operands, None, &self.pools.sliced, |sim| {
             SlicedProtocolDriver::from_sliced_simulator(
                 self.circuit,
                 sim,
@@ -323,7 +409,7 @@ impl<'a> ParallelProtocolDriver<'a> {
         config: PipelineConfig,
     ) -> Result<(ParallelProtocolRun, PipelineReport), DualRailError> {
         let timing = self.timing.clone()?;
-        let results = self.run_sharded(operands, Some(config.train_length.max(1)), |sim| {
+        let results = self.run_sharded(operands, Some(config), &self.pools.pipelined, |sim| {
             let mut driver = PipelinedProtocolDriver::from_simulator_with_timing(
                 self.circuit,
                 sim,
@@ -356,7 +442,8 @@ impl<'a> ParallelProtocolDriver<'a> {
         config: PipelineConfig,
     ) -> Result<(ParallelProtocolRun, PipelineReport), DualRailError> {
         let timing = self.timing.clone()?;
-        let results = self.run_sharded(operands, Some(config.train_length.max(1)), |sim| {
+        let pool = &self.pools.pipelined_sliced;
+        let results = self.run_sharded(operands, Some(config), pool, |sim| {
             SlicedPipelinedProtocolDriver::from_sliced_simulator(
                 self.circuit,
                 sim,
@@ -370,40 +457,78 @@ impl<'a> ParallelProtocolDriver<'a> {
         Ok((ParallelProtocolRun::from_results(results), report))
     }
 
-    /// The one body every entry point shares: each worker builds its
-    /// driver `D` once over a fresh replica (`build`), attaches the
-    /// protocol counters under `"<prefix>.<scope>.protocol.*"`, and
-    /// drives every chunk it claims ([`ParallelEventSim::shard_with`]
-    /// chunking: `train: None` load-balances, `Some(n)` claims fixed
-    /// trains of `n` settles).  A driver that fails to build reports
+    /// The one body every entry point shares: each worker checks a
+    /// driver `D` out of `pool`, or on a miss builds one over a fresh
+    /// replica (`build`) and attaches the protocol counters under
+    /// `"<prefix>.<scope>.protocol.*"`, then drives every chunk it
+    /// claims ([`ParallelEventSim::shard_with`] chunking: serial runs
+    /// load-balance, a `pipeline` claims fixed trains of
+    /// `train_length` settles).  A driver that fails to build reports
     /// its error for every operand it would have run; the first error
-    /// in operand order is returned.
-    fn run_sharded<D: WorkerDriver<'a>>(
+    /// in operand order is returned.  Afterwards each worker whose
+    /// chunks all succeeded and which sits idle at the canonical
+    /// snapshot goes back into `pool`; the rest are dropped.
+    fn run_sharded<D: WorkerDriver<'a> + Send>(
         &self,
         operands: &[Vec<bool>],
-        train: Option<usize>,
+        pipeline: Option<PipelineConfig>,
+        pool: &Pool<D>,
         build: impl Fn(D::Replica) -> Result<D, DualRailError> + Sync,
     ) -> Result<Vec<OperandResult>, DualRailError> {
         let metrics = self.metrics.as_ref().map(|(registry, prefix)| {
             let scope = <D::Replica as Replica<'a>>::SCOPE;
             tm_obs::ProtocolMetrics::register(registry, &format!("{prefix}.{scope}.protocol"))
         });
-        let results = self.sim.shard_with(
+        let (results, workers) = self.sim.shard_with(
             operands,
-            train,
+            pipeline.map(|config| config.train_length.max(1)),
+            || {
+                let driver = pool.take().filter(|d| d.pipeline() == pipeline)?;
+                Some(Worker::new(Ok(driver)))
+            },
             |sim| {
-                let mut driver = build(sim)?;
-                if let Some(handles) = metrics.clone() {
-                    driver.attach_protocol_metrics(handles);
-                }
-                Ok(driver)
+                Worker::new(build(sim).map(|mut driver| {
+                    if let Some(handles) = metrics.clone() {
+                        driver.attach_protocol_metrics(handles);
+                    }
+                    driver
+                }))
             },
-            |driver: &mut Result<D, DualRailError>, chunk| match driver {
-                Ok(driver) => driver.run_chunk(chunk),
-                Err(error) => per_operand(Err(error.clone()), chunk.len()),
-            },
+            Worker::run,
         );
+        for worker in workers {
+            if let (true, Ok(driver)) = (worker.clean, worker.driver) {
+                if driver.is_idle_at(&self.snapshot) {
+                    pool.put(driver, self.threads());
+                }
+            }
+        }
         results.into_iter().collect()
+    }
+}
+
+/// One worker's driver for the length of a call, and whether every
+/// chunk it ran so far succeeded.
+struct Worker<D> {
+    driver: Result<D, DualRailError>,
+    clean: bool,
+}
+
+impl<'a, D: WorkerDriver<'a>> Worker<D> {
+    fn new(driver: Result<D, DualRailError>) -> Self {
+        Self {
+            driver,
+            clean: true,
+        }
+    }
+
+    fn run(&mut self, chunk: &[Vec<bool>]) -> Vec<Result<OperandResult, DualRailError>> {
+        let results = match &mut self.driver {
+            Ok(driver) => driver.run_chunk(chunk),
+            Err(error) => per_operand(Err(error.clone()), chunk.len()),
+        };
+        self.clean &= results.iter().all(Result::is_ok);
+        results
     }
 }
 
@@ -422,6 +547,16 @@ pub(crate) trait WorkerDriver<'a> {
     /// instruments are already attached by the sharding hook at
     /// replica construction.
     fn attach_protocol_metrics(&mut self, handles: tm_obs::ProtocolMetrics);
+
+    /// Whether the driver may start a later call: no event is pending
+    /// and every net — on every lane — holds its `snapshot` value.
+    fn is_idle_at(&self, snapshot: &[Logic]) -> bool;
+
+    /// The wavefront schedule the driver runs, `None` for the serial
+    /// drivers; a pooled driver is reused only for an equal schedule.
+    fn pipeline(&self) -> Option<PipelineConfig> {
+        None
+    }
 }
 
 /// Spreads a chunk-level outcome over the chunk's `len` operands: the
@@ -550,6 +685,118 @@ pub(crate) mod tests {
                 got: 1
             })
         ));
+    }
+
+    /// `and_or_circuit` plus a sticky internal C-element gated by a
+    /// tie-high net (the fixture of
+    /// `protocol.rs::reset_contract_violations_are_detected`): the
+    /// first operand with `a` high latches it for good, which only the
+    /// full-state reset-phase verification can see.
+    fn sticky_circuit() -> DualRailNetlist {
+        let mut dr = and_or_circuit();
+        let a_p = dr.dual_input("a").unwrap().positive;
+        let tie = dr
+            .netlist_mut()
+            .add_cell("tie", netlist::CellKind::Tie1, &[])
+            .unwrap();
+        dr.netlist_mut()
+            .add_cell("sticky", netlist::CellKind::CElement2, &[a_p, tie])
+            .unwrap();
+        dr
+    }
+
+    /// A worker left dirty by a failed cycle never serves a later call:
+    /// the call after the sticky cell latched runs on a rebuilt worker
+    /// and matches a fresh driver, on the scalar and the sliced kernel.
+    #[test]
+    fn a_worker_that_failed_verification_is_never_reused() {
+        let dr = sticky_circuit();
+        let lib = Library::umc_ll();
+        let latch = [vec![true, true, false]];
+        let a_low: Vec<Vec<bool>> = workload(3, 8).into_iter().filter(|op| !op[0]).collect();
+        for threads in [1, 2] {
+            let session = ParallelProtocolDriver::new(&dr, &lib, threads).unwrap();
+            let fresh = || ParallelProtocolDriver::new(&dr, &lib, threads).unwrap();
+
+            let latched = session.run_workload(&latch);
+            assert!(
+                matches!(latched, Err(DualRailError::SpacerStateMismatch { .. })),
+                "got {latched:?}"
+            );
+            assert_eq!(
+                session.run_workload(&a_low).unwrap(),
+                fresh().run_workload(&a_low).unwrap(),
+                "threads = {threads}"
+            );
+
+            let latched = session.run_workload_sliced(&latch);
+            assert!(
+                matches!(latched, Err(DualRailError::SpacerStateMismatch { .. })),
+                "got {latched:?}"
+            );
+            assert_eq!(
+                session.run_workload_sliced(&a_low).unwrap(),
+                fresh().run_workload_sliced(&a_low).unwrap(),
+                "threads = {threads}"
+            );
+        }
+    }
+
+    /// Concurrent calls on one shared driver each check out their own
+    /// workers and return exactly what sequential calls return.
+    #[test]
+    fn concurrent_calls_share_one_driver_and_match_sequential_calls() {
+        let dr = and_or_circuit();
+        let lib = Library::umc_ll();
+        let driver = ParallelProtocolDriver::new(&dr, &lib, 2).unwrap();
+        let left = workload(3, 8);
+        let right: Vec<Vec<bool>> = (0..70).map(|k| left[(k * 3) % 8].clone()).collect();
+        let expected = (
+            driver.run_workload_sliced(&left).unwrap(),
+            driver.run_workload_sliced(&right).unwrap(),
+        );
+        for _ in 0..3 {
+            let got = std::thread::scope(|scope| {
+                let left = scope.spawn(|| driver.run_workload_sliced(&left).unwrap());
+                let right = scope.spawn(|| driver.run_workload_sliced(&right).unwrap());
+                (left.join().unwrap(), right.join().unwrap())
+            });
+            assert_eq!(got, expected);
+        }
+    }
+
+    /// Pooled workers carry the metrics handles they were built with,
+    /// so `clear_metrics` must retire them: later runs leave the old
+    /// registry untouched.  While routing is unchanged, a session's
+    /// snapshot after several calls equals that of one fresh driver per
+    /// call (worker construction never reaches the registry).
+    #[test]
+    fn metrics_routing_changes_retire_pooled_workers() {
+        let dr = and_or_circuit();
+        let lib = Library::umc_ll();
+        let operands = workload(3, 8);
+        let calls = |driver: &ParallelProtocolDriver<'_>| {
+            driver.run_workload(&operands).unwrap();
+            driver.run_workload_sliced(&operands).unwrap();
+        };
+
+        let pooled = Arc::new(tm_obs::MetricsRegistry::new());
+        let mut session = ParallelProtocolDriver::new(&dr, &lib, 2).unwrap();
+        session.set_metrics(&pooled, "dr");
+        let fresh = Arc::new(tm_obs::MetricsRegistry::new());
+        for _ in 0..3 {
+            calls(&session);
+            let mut driver = ParallelProtocolDriver::new(&dr, &lib, 2).unwrap();
+            driver.set_metrics(&fresh, "dr");
+            calls(&driver);
+        }
+        let snapshot = pooled.snapshot();
+        assert!(snapshot.counter("dr.sliced.protocol.cycles") > 0);
+        assert_eq!(snapshot, fresh.snapshot());
+
+        session.clear_metrics();
+        calls(&session);
+        assert_eq!(pooled.snapshot(), snapshot);
     }
 
     #[test]

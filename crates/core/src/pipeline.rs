@@ -973,7 +973,8 @@ impl<'a> PipelinedProtocolDriver<'a> {
     /// Creates a pipelined driver around an existing simulator instance
     /// and precomputed timing bounds — the worker-side constructor for
     /// [`crate::ParallelProtocolDriver::run_workload_pipelined`], whose
-    /// train runner hands each worker a fresh replicated simulator.
+    /// train runner hands a worker with no pooled driver a fresh
+    /// replicated simulator.
     ///
     /// # Errors
     ///
@@ -1534,6 +1535,14 @@ impl<'a> WorkerDriver<'a> for PipelinedProtocolDriver<'a> {
     fn attach_protocol_metrics(&mut self, handles: tm_obs::ProtocolMetrics) {
         self.inner.attach_protocol_metrics(handles);
     }
+
+    fn is_idle_at(&self, snapshot: &[Logic]) -> bool {
+        self.inner.is_idle_at(snapshot)
+    }
+
+    fn pipeline(&self) -> Option<PipelineConfig> {
+        Some(self.config)
+    }
 }
 
 /// 64-lane transition recorder: diffs each watched net's value/unknown
@@ -1980,5 +1989,13 @@ impl<'a> WorkerDriver<'a> for SlicedPipelinedProtocolDriver<'a> {
 
     fn attach_protocol_metrics(&mut self, handles: tm_obs::ProtocolMetrics) {
         self.inner.attach_protocol_metrics(handles);
+    }
+
+    fn is_idle_at(&self, snapshot: &[Logic]) -> bool {
+        self.inner.is_idle_at(snapshot)
+    }
+
+    fn pipeline(&self) -> Option<PipelineConfig> {
+        Some(self.config)
     }
 }

@@ -789,6 +789,10 @@ impl<'a> WorkerDriver<'a> for ProtocolDriver<'a> {
     fn attach_protocol_metrics(&mut self, handles: tm_obs::ProtocolMetrics) {
         self.metrics = Some(Box::new(handles));
     }
+
+    fn is_idle_at(&self, snapshot: &[Logic]) -> bool {
+        !self.sim.has_pending_events() && self.sim.first_state_mismatch(snapshot).is_none()
+    }
 }
 
 #[cfg(test)]

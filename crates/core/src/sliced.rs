@@ -649,6 +649,10 @@ impl<'a> WorkerDriver<'a> for SlicedProtocolDriver<'a> {
     fn attach_protocol_metrics(&mut self, handles: tm_obs::ProtocolMetrics) {
         self.metrics = Some(Box::new(handles));
     }
+
+    fn is_idle_at(&self, snapshot: &[Logic]) -> bool {
+        !self.sim.has_pending_events() && self.sim.lane_state_mismatch(snapshot, FULL).is_none()
+    }
 }
 
 /// Builds the streamed scalar reference for the sliced driver: a

@@ -73,9 +73,14 @@ pub struct DualRailRun {
 /// worker threads.
 ///
 /// Construction compiles the netlist once and validates initialisation;
-/// [`DualRailInference::run_workload`] takes `&self` (all mutable state
-/// is per worker), so one instance can serve many workloads.  See the
-/// [module documentation](self) for the contract and an example.
+/// the worker drivers are built by the first call that needs them and
+/// then kept: each call reuses the workers earlier calls left idle and
+/// verified at the canonical quiescent state, so a long-lived instance
+/// pays the worker set-up once, not per call.  Every entry point takes
+/// `&self` (all mutable state is per worker), so one instance can serve
+/// many workloads, also concurrently.  See the
+/// [module documentation](self) for the contract and an example, and
+/// [`dualrail::ParallelProtocolDriver`] for the worker sessions.
 #[derive(Debug)]
 pub struct DualRailInference<'a> {
     driver: ParallelProtocolDriver<'a>,

@@ -136,7 +136,7 @@ impl<'a> ParallelBatchInference<'a> {
         let features = self.config.features();
         let evaluator = &self.evaluator;
         let template = &template;
-        let per_chunk = self.executor.map_chunks_with(
+        let (per_chunk, _) = self.executor.map_chunks_with(
             feature_vectors,
             LANES,
             || (template.clone(), evaluator.new_state(), Vec::new()),

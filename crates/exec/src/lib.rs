@@ -128,6 +128,7 @@ impl Executor {
         F: Fn(usize, &[T]) -> R + Sync,
     {
         self.map_chunks_with(items, chunk_size, || (), |(), index, chunk| f(index, chunk))
+            .0
     }
 
     /// Like [`Executor::map_chunks`], with per-worker scratch state.
@@ -135,7 +136,10 @@ impl Executor {
     /// `init` runs once per worker to build its private scratch value,
     /// which is then passed mutably to every chunk that worker claims —
     /// the pattern for reusing evaluator state or buffers across chunks
-    /// without sharing them between threads.
+    /// without sharing them between threads.  Every worker's scratch is
+    /// handed back after the pass (one per worker that ran, including
+    /// a worker that claimed no chunk), so a caller can keep it for the
+    /// next call instead of rebuilding it.
     ///
     /// # Panics
     ///
@@ -146,9 +150,10 @@ impl Executor {
         chunk_size: usize,
         init: I,
         f: F,
-    ) -> Vec<R>
+    ) -> (Vec<R>, Vec<S>)
     where
         T: Sync,
+        S: Send,
         R: Send,
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize, &[T]) -> R + Sync,
@@ -157,16 +162,17 @@ impl Executor {
         let chunk_count = items.len().div_ceil(chunk_size);
         if self.threads == 1 || chunk_count <= 1 {
             let mut scratch = init();
-            return items
+            let results = items
                 .chunks(chunk_size)
                 .enumerate()
                 .map(|(index, chunk)| f(&mut scratch, index, chunk))
                 .collect();
+            return (results, vec![scratch]);
         }
 
         let next = AtomicUsize::new(0);
         let workers = self.threads.min(chunk_count);
-        let mut per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let (mut per_worker, states): (Vec<Vec<_>>, Vec<_>) = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
@@ -181,14 +187,14 @@ impl Executor {
                             let end = (start + chunk_size).min(items.len());
                             produced.push((index, f(&mut scratch, index, &items[start..end])));
                         }
-                        produced
+                        (produced, scratch)
                     })
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
+                .unzip()
         });
 
         // Deterministic in-order merge: place each chunk result by index.
@@ -197,10 +203,11 @@ impl Executor {
             debug_assert!(slots[index].is_none(), "chunk {index} produced twice");
             slots[index] = Some(result);
         }
-        slots
+        let results = slots
             .into_iter()
             .map(|slot| slot.expect("every chunk claimed exactly once"))
-            .collect()
+            .collect();
+        (results, states)
     }
 
     /// Runs `f` over `(item, state)` pairs with static contiguous
@@ -403,18 +410,26 @@ mod tests {
         let items: Vec<u32> = (0..256).collect();
         // Scratch accumulates across the chunks a worker claims; the per-chunk
         // results must still be in chunk order.
-        let results = Executor::new(4).map_chunks_with(
-            &items,
-            16,
-            Vec::<u32>::new,
-            |scratch, index, chunk| {
-                scratch.extend_from_slice(chunk);
-                (index, chunk[0])
-            },
-        );
-        for (i, (index, first)) in results.iter().enumerate() {
-            assert_eq!(*index, i);
-            assert_eq!(*first, (i * 16) as u32);
+        for threads in [1, 4] {
+            let (results, scratches) = Executor::new(threads).map_chunks_with(
+                &items,
+                16,
+                Vec::<u32>::new,
+                |scratch, index, chunk| {
+                    scratch.extend_from_slice(chunk);
+                    (index, chunk[0])
+                },
+            );
+            for (i, (index, first)) in results.iter().enumerate() {
+                assert_eq!(*index, i);
+                assert_eq!(*first, (i * 16) as u32);
+            }
+            // Every worker's scratch comes back, and between them they
+            // saw every item exactly once.
+            assert_eq!(scratches.len(), threads);
+            let mut seen: Vec<u32> = scratches.concat();
+            seen.sort_unstable();
+            assert_eq!(seen, items, "threads = {threads}");
         }
     }
 
@@ -508,9 +523,13 @@ mod tests {
         for threads in [1, 4] {
             let exec = Executor::new(threads);
             assert!(exec.map_chunks(&empty, 8, |_, c| c.len()).is_empty());
-            assert!(exec
-                .map_chunks_with(&empty, 8, || 0u32, |_, _, c| c.len())
-                .is_empty());
+            let (results, scratches) = exec.map_chunks_with(&empty, 8, || 0u32, |_, _, c| c.len());
+            assert!(results.is_empty());
+            assert_eq!(
+                scratches,
+                vec![0],
+                "an empty pass still hands back one scratch"
+            );
             let mut states: Vec<u8> = Vec::new();
             assert!(exec
                 .zip_shards(&empty, &mut states, |_, _, _| ())

@@ -426,11 +426,13 @@ impl<'a> ParallelEventSim<'a> {
 
     /// The one sharding hook every runner — here and in the protocol
     /// drivers built on this type — goes through: items are claimed in
-    /// chunks, each worker builds its private state once from a fresh
+    /// chunks, each worker first asks `reuse` for a worker state kept
+    /// from an earlier call and only on a miss builds one from a fresh
     /// replica `S` over the shared program (`init`), `step` processes
     /// each claimed chunk (returning one result per item, in item
     /// order), and the per-chunk results are merged back **in item
-    /// order**.
+    /// order**.  Every worker's state is handed back next to the
+    /// results, so the caller decides which ones to keep.
     ///
     /// With `train: None`, chunks of [`Replica::CHUNK`] items are
     /// claimed dynamically for load balancing.  With `Some(settles)`,
@@ -442,7 +444,8 @@ impl<'a> ParallelEventSim<'a> {
     ///
     /// The caller is responsible for making `step` history-independent
     /// — under the [`ShardingContract::ResetPhase`] contract that means
-    /// verifying the quiescent state every cycle.
+    /// verifying the quiescent state every cycle — and for handing
+    /// `reuse` only states that sit in that verified quiescent state.
     ///
     /// # Panics
     ///
@@ -451,12 +454,14 @@ impl<'a> ParallelEventSim<'a> {
         &self,
         items: &[T],
         train: Option<usize>,
+        reuse: impl Fn() -> Option<W> + Sync,
         init: impl Fn(S) -> W + Sync,
         step: impl Fn(&mut W, &[T]) -> Vec<R> + Sync,
-    ) -> Vec<R>
+    ) -> (Vec<R>, Vec<W>)
     where
         S: Replica<'a>,
         T: Sync,
+        W: Send,
         R: Send,
     {
         let chunk_len = train.map_or(S::CHUNK, |settles| {
@@ -467,19 +472,21 @@ impl<'a> ParallelEventSim<'a> {
         let metrics = self.metrics.as_ref().map(|(registry, prefix)| {
             tm_obs::SimMetrics::register(registry, &format!("{prefix}.{}", S::SCOPE))
         });
-        let per_chunk = self.executor.map_chunks_with(
+        let (per_chunk, workers) = self.executor.map_chunks_with(
             items,
             chunk_len,
             || {
-                let mut sim = S::from_program(Arc::clone(program));
-                if let Some(handles) = metrics.clone() {
-                    sim.attach_metrics_deferred(handles);
-                }
-                init(sim)
+                reuse().unwrap_or_else(|| {
+                    let mut sim = S::from_program(Arc::clone(program));
+                    if let Some(handles) = metrics.clone() {
+                        sim.attach_metrics_deferred(handles);
+                    }
+                    init(sim)
+                })
             },
             |worker, _, chunk| step(worker, chunk),
         );
-        per_chunk.into_iter().flatten().collect()
+        (per_chunk.into_iter().flatten().collect(), workers)
     }
 
     /// Builds one worker's replica for the operand runners: the fault
@@ -529,6 +536,7 @@ impl<'a> ParallelEventSim<'a> {
         self.shard_with(
             operands,
             None,
+            || None,
             Self::armed::<Simulator<'a>>(plan, horizon_ps),
             |(sim, snapshot), chunk| {
                 chunk
@@ -539,6 +547,7 @@ impl<'a> ParallelEventSim<'a> {
                     .collect()
             },
         )
+        .0
     }
 
     /// The 64-wide analogue of [`ParallelEventSim::run_operands_faulted`]
@@ -565,6 +574,7 @@ impl<'a> ParallelEventSim<'a> {
         self.shard_with(
             operands,
             None,
+            || None,
             Self::armed::<SlicedSimulator<'a>>(plan, horizon_ps),
             |(sim, snapshot), word| match try_run_word_return_to_zero_checked(
                 sim,
@@ -575,6 +585,7 @@ impl<'a> ParallelEventSim<'a> {
                 Err(error) => vec![Err(error); word.len()],
             },
         )
+        .0
     }
 }
 
@@ -671,8 +682,10 @@ pub(crate) mod tests {
                 chunk.iter().map(|&i| (i, chunk.len())).collect::<Vec<_>>()
             };
             for train in [None, Some(1), Some(3)] {
-                let scalar = sim.shard_with(&items, train, |_: Simulator<'_>| (), echo);
-                let sliced = sim.shard_with(&items, train, |_: SlicedSimulator<'_>| (), echo);
+                let (scalar, _) =
+                    sim.shard_with(&items, train, || None, |_: Simulator<'_>| (), echo);
+                let (sliced, _) =
+                    sim.shard_with(&items, train, || None, |_: SlicedSimulator<'_>| (), echo);
                 for (runs, lanes, chunk) in [(scalar, 1, 4), (sliced, netlist::LANES, 64)] {
                     let expected_len = train.map_or(chunk, |settles| settles * lanes);
                     assert_eq!(runs.len(), items.len());
@@ -683,6 +696,37 @@ pub(crate) mod tests {
                     assert_eq!(runs[0].1, expected_len.min(items.len()));
                 }
             }
+        }
+    }
+
+    /// A replica is built only when `reuse` comes back empty, and every
+    /// worker's state — reused or built — is handed back to the caller.
+    #[test]
+    fn shard_with_builds_a_replica_only_on_a_reuse_miss() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+        let nl = xor_chain(4);
+        let library = lib();
+        let items: Vec<usize> = (0..40).collect();
+        for threads in [1, 2, 7] {
+            let sim = ParallelEventSim::new(&nl, &library, threads);
+            // One kept state to hand out; every other worker must build.
+            let kept = AtomicBool::new(true);
+            let built = AtomicUsize::new(0);
+            let (runs, workers) = sim.shard_with(
+                &items,
+                None,
+                || kept.swap(false, Ordering::Relaxed).then_some("kept"),
+                |_: Simulator<'_>| {
+                    built.fetch_add(1, Ordering::Relaxed);
+                    "built"
+                },
+                |_, chunk: &[usize]| chunk.to_vec(),
+            );
+            assert_eq!(runs, items, "threads = {threads}");
+            assert_eq!(workers.len(), threads);
+            assert_eq!(built.load(Ordering::Relaxed), threads - 1);
+            assert_eq!(workers.iter().filter(|&&w| w == "kept").count(), 1);
         }
     }
 

@@ -552,6 +552,121 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Persistent worker sessions: a long-lived ParallelProtocolDriver reuses
+// its verified idle workers across calls, and every call is
+// bit-identical to the same call on a freshly constructed driver
+// ---------------------------------------------------------------------
+
+/// Every field of an [`OperandResult`], with each `f64` as its bit
+/// pattern so the comparison is exact (`-0.0 != 0.0`, NaN == NaN).
+/// The destructuring is exhaustive: a new field fails to compile here.
+type ResultBits = (
+    Vec<bool>,
+    Vec<(String, usize)>,
+    u64,
+    Option<u64>,
+    u64,
+    u64,
+    Vec<(String, DualRailValue)>,
+);
+
+fn result_bits(results: &[tm_async::dualrail::OperandResult]) -> Vec<ResultBits> {
+    results
+        .iter()
+        .map(|result| {
+            let tm_async::dualrail::OperandResult {
+                outputs,
+                one_of_n,
+                s_to_v_latency_ps,
+                done_latency_ps,
+                v_to_s_latency_ps,
+                cycle_time_ps,
+                probes,
+            } = result;
+            (
+                outputs.clone(),
+                one_of_n.clone(),
+                s_to_v_latency_ps.to_bits(),
+                done_latency_ps.map(f64::to_bits),
+                v_to_s_latency_ps.to_bits(),
+                cycle_time_ps.to_bits(),
+                probes.clone(),
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    // Each case replays a random call sequence at three thread counts,
+    // every call twice (session and fresh driver), so run few cases.
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// One long-lived driver per thread count serves a random sequence
+    /// of calls — batch sizes {0, 1, 2, 63, 64, 65, 130} (empty, single
+    /// lane, one word ± 1, two words + tail), interleaving the scalar,
+    /// sliced and both occupancy-1 pipelined kernels, the pipelined
+    /// ones at two train lengths so a pooled worker with the other
+    /// schedule must be dropped — and every call's results are
+    /// bit-identical to the same call on a freshly constructed driver.
+    #[test]
+    fn persistent_sessions_match_fresh_drivers_bit_for_bit(
+        seed in 0u64..10_000,
+        picks in proptest::collection::vec(0usize..28, 10),
+    ) {
+        use tm_async::datapath::InferenceWorkload;
+        use tm_async::dualrail::{
+            DualRailError, Occupancy, OperandResult, ParallelProtocolDriver, PipelineConfig,
+        };
+
+        const BATCHES: [usize; 7] = [0, 1, 2, 63, 64, 65, 130];
+        let config = DatapathConfig::new(3, 2).expect("valid");
+        let workload = InferenceWorkload::random(&config, 160, 0.7, seed).expect("workload");
+        let datapath = DualRailDatapath::generate(&config).expect("generation");
+        let library = Library::umc_ll();
+        let operand_bits = workload.dual_rail_operands(&datapath).expect("widths");
+
+        let call = |driver: &ParallelProtocolDriver<'_>,
+                    pick: usize,
+                    operands: &[Vec<bool>]|
+         -> Result<Vec<OperandResult>, DualRailError> {
+            let one = PipelineConfig {
+                occupancy: Occupancy::One,
+                train_length: 1 + pick % 2,
+                ..PipelineConfig::default()
+            };
+            Ok(match pick / BATCHES.len() {
+                0 => driver.run_workload(operands)?.results,
+                1 => driver.run_workload_sliced(operands)?.results,
+                2 => driver.run_workload_pipelined(operands, one)?.0.results,
+                _ => driver.run_workload_pipelined_sliced(operands, one)?.0.results,
+            })
+        };
+        for threads in [1usize, 2, 7] {
+            let session = ParallelProtocolDriver::new(datapath.circuit(), &library, threads)
+                .expect("driver");
+            for (step, &pick) in picks.iter().enumerate() {
+                let batch = BATCHES[pick % BATCHES.len()];
+                let start = (step * 29) % (operand_bits.len() - batch + 1);
+                let operands = &operand_bits[start..start + batch];
+                let fresh = ParallelProtocolDriver::new(datapath.circuit(), &library, threads)
+                    .expect("driver");
+                let expected = call(&fresh, pick, operands).expect("fresh run");
+                let got = call(&session, pick, operands).expect("session run");
+                prop_assert_eq!(got.len(), batch);
+                prop_assert_eq!(
+                    result_bits(&got),
+                    result_bits(&expected),
+                    "threads {} step {} pick {}",
+                    threads,
+                    step,
+                    pick
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Two-level event queue: same-timestamp FIFO order is exactly the
 // insertion order, under arbitrary interleaved push/pop traffic
 // ---------------------------------------------------------------------
