@@ -10,6 +10,13 @@
 //! and the 64-lane sliced kernel.  The minimum of the 30 samples is the
 //! best-of-30 figure of the per-call fixed-cost table in `ROADMAP.md`.
 //!
+//! Criterion `pipelined_train` group: the wavefront-pipelined
+//! dual-rail layer on its own — one long-lived single-thread
+//! `DualRailInference` running 16 and 64 operands through
+//! `run_features_pipelined` at full occupancy (one train, and four
+//! trains of the default 16 tokens).  The minimum of the 30 samples is
+//! the best-of-30 train cost.
+//!
 //! The recorded saturation sweep lives in `BENCH_PR5.json` at the
 //! repository root (regenerate with
 //! `cargo run -p tm-async-bench --release --bin serve_sweep -- 2048 BENCH_PR5.json`).
@@ -17,6 +24,7 @@
 use celllib::Library;
 use criterion::{criterion_group, criterion_main, Criterion};
 use datapath::{BatchGoldenModel, BatchInference, DualRailDatapath, DualRailInference};
+use dualrail::{Occupancy, PipelineConfig};
 use tm_async_bench::workloads::{standard_config, standard_workload};
 use tm_serve::{BatchBackend, ServeConfig, Server, Trace};
 
@@ -97,5 +105,38 @@ fn bench_dualrail_service(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_serving, bench_dualrail_service);
+fn bench_pipelined_train(c: &mut Criterion) {
+    let config = standard_config();
+    let standard = standard_workload(64, 2021);
+    let workload = &standard.workload;
+    let datapath = DualRailDatapath::generate(&config).expect("datapath generation");
+    let library = Library::umc_ll();
+    let inference = DualRailInference::new(&datapath, &library, 1).expect("driver");
+    let masks = workload.masks();
+    let pipeline = PipelineConfig {
+        occupancy: Occupancy::Max,
+        ..PipelineConfig::default()
+    };
+
+    let mut group = c.benchmark_group("pipelined_train");
+    group.sample_size(30);
+    for operands in [16, 64] {
+        let features = &workload.feature_vectors()[..operands];
+        group.bench_function(format!("max_occupancy_{operands}"), |b| {
+            b.iter(|| {
+                inference
+                    .run_features_pipelined(masks, features, pipeline)
+                    .expect("pipelined run")
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_serving,
+    bench_dualrail_service,
+    bench_pipelined_train
+);
 criterion_main!(benches);

@@ -99,7 +99,7 @@ pub use expand::{expand_to_dual_rail, ExpansionStyle};
 pub use parallel::{ParallelProtocolDriver, ParallelProtocolRun};
 pub use pipeline::{
     Occupancy, PipelineConfig, PipelinedProtocolDriver, SlicedPipelinedProtocolDriver,
-    WavefrontTiming,
+    TokenProfile, WavefrontTiming,
 };
 pub use protocol::{OperandResult, ProtocolDriver};
 pub use sliced::{rebased_reference_driver, SlicedProtocolDriver};

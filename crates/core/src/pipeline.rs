@@ -29,9 +29,21 @@
 //! 1. **Profile pass** — each token runs the exact contract-mode
 //!    serial cycle while the driver records every net's measured rise
 //!    time (relative to the injection edge) and fall time (relative to
-//!    the spacer edge).  This pass *is* the serial protocol: it fixes
-//!    the decoded outcomes and the serial latency figures, and fails
-//!    with the serial driver's own typed errors.
+//!    the spacer edge), a [`TokenProfile`].  This pass *is* the serial
+//!    protocol: it fixes the decoded outcomes and the serial latency
+//!    figures, and fails with the serial driver's own typed errors.
+//!
+//!    The pass runs on the 64-lane sliced engine, one lane per token:
+//!    every lane injects at time zero, and each lane's spacer edge is
+//!    driven at that lane's own valid-settle time, lanes with equal
+//!    times together, so every rise and fall time is the scalar
+//!    engine's bit for bit (the lanes' pop sequences are the scalar
+//!    ones, computed with the same float sums).  An opt-in change
+//!    recorder on [`SlicedSimulator`] supplies the per-lane, all-net
+//!    history.  A train with a fault plan installed, or one that fails
+//!    any check of the serial pass on any lane, is profiled serially
+//!    on the scalar simulator instead — which is where its typed error
+//!    comes from.
 //! 2. **Wavefront replay** — from the measured profiles the driver
 //!    computes, per consecutive token pair, the smallest separation
 //!    gaps such that at *every cell* the spacer wave of token `k`
@@ -96,11 +108,10 @@
 //! per token that activated it) cross-checks the attribution against
 //! the simulator's own activity counters in both drivers.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use celllib::Library;
-use gatesim::{Logic, Simulator, SlicedSimulator, StepOutcome};
+use gatesim::{lane_mask, Logic, Simulator, SlicedSimulator, StepOutcome};
 use netlist::{topological_order, CellKind, NetId, NetlistError, LANES};
 use sta::ArrivalAnalysis;
 
@@ -532,16 +543,163 @@ fn active_level(quiet: Logic) -> Logic {
 /// level and (once drained) when it returned.
 type Activation = (f64, Option<f64>);
 
-/// One token's measured wave profile from the serial profiling pass:
-/// per-net first-change times for the data wave (relative to the
-/// injection edge) and for the return-to-zero wave (relative to the
-/// spacer edge).  `INFINITY` marks a net the token never moved.
-struct TokenProfile {
-    rise_rel_ps: Vec<f64>,
-    fall_rel_ps: Vec<f64>,
+/// One token's measured wave profile from the profile pass of
+/// [`PipelinedProtocolDriver`]: per-net change times for the data wave
+/// (relative to the injection edge) and for the return-to-zero wave
+/// (relative to the spacer edge), each indexed by [`NetId::index`].
+/// `INFINITY` marks a net the token never moved.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TokenProfile {
+    /// Per net: when the valid wave switched it, after injection.
+    pub rise_rel_ps: Vec<f64>,
+    /// Per net: when the return-to-zero wave switched it back, after
+    /// the spacer edge.
+    pub fall_rel_ps: Vec<f64>,
     /// Spacer-phase settle time (the maximum fall): when the token has
     /// fully drained from the circuit.
-    drain_rel_ps: f64,
+    pub drain_rel_ps: f64,
+    /// Valid-phase settle time: when the last event of the data wave
+    /// applied, which is where the serial cycle drives the spacer.
+    pub settle_ps: f64,
+}
+
+/// The wavefront injection schedule of a train, built token by token
+/// as the profiles arrive.  Per cell and consecutive token pair:
+///
+/// * the spacer wave of token `k` may first touch a cell only after
+///   the cell's token-`k` rise activity (output *and* inputs — a cell
+///   whose output never switches still constrains its input pair) has
+///   ended, giving the valid→spacer offset `g₁ₖ`;
+/// * token `k+1`'s data wave may first touch a cell only after the
+///   latest *pending* fall activity there has drained, giving the
+///   injection gap `g₂ₖ`.  Pending falls are tracked per cell across
+///   tokens, so a wave also clears falls left by earlier tokens at
+///   cells the intervening tokens never exercised.
+///
+/// Each gap gets the configured multiplicative safety margin plus the
+/// fixed [`GAP_PAD_PS`] slice-separation pad.  At [`Occupancy::Two`]
+/// the next injection additionally waits for token `k-1` to drain
+/// completely, capping the train at two tokens in flight.
+struct WavefrontSchedule {
+    margin: f64,
+    occupancy: Occupancy,
+    /// Per scheduled cell: the latest pending fall, absolute.
+    pending: Vec<f64>,
+    /// Per scheduled cell: the newest token's latest fall, relative to
+    /// its spacer edge.
+    late_fall: Vec<f64>,
+    /// Per token: the injection edge `A_k`.
+    inject_at: Vec<f64>,
+    /// Per token: the spacer edge `B_k`.
+    spacer_at: Vec<f64>,
+    /// Per token: the drain time of its spacer wave.
+    drain_ps: Vec<f64>,
+}
+
+impl WavefrontSchedule {
+    fn new(config: &PipelineConfig, cells: usize) -> Self {
+        Self {
+            margin: config.separation_margin,
+            occupancy: config.occupancy,
+            pending: vec![f64::NEG_INFINITY; cells],
+            late_fall: vec![f64::NEG_INFINITY; cells],
+            inject_at: Vec::new(),
+            spacer_at: Vec::new(),
+            drain_ps: Vec::new(),
+        }
+    }
+
+    fn widen(&self, raw: f64) -> f64 {
+        raw.max(0.0).mul_add(1.0 + self.margin, GAP_PAD_PS)
+    }
+
+    /// Schedules the next token from its profile: one pass over the
+    /// cells fixes the previous token's injection gap `g₂` (from this
+    /// token's first rises) and this token's spacer offset `g₁`.
+    fn push(&mut self, cells: &ScheduleCells, profile: &TokenProfile) {
+        let (rise, fall) = (&profile.rise_rel_ps, &profile.fall_rel_ps);
+        let previous = self.spacer_at.last().copied();
+        let mut g1 = 0.0f64;
+        let mut required = f64::NEG_INFINITY;
+        for (c, &out) in cells.outputs.iter().enumerate() {
+            let out = out as usize;
+            let mut first_fall = f64::INFINITY;
+            let mut late_rise = later(f64::NEG_INFINITY, rise[out]);
+            let mut late_fall = later(f64::NEG_INFINITY, fall[out]);
+            let mut first_rise = f64::INFINITY;
+            for &n in cells.inputs(c) {
+                let n = n as usize;
+                first_fall = first_fall.min(fall[n]);
+                late_rise = later(late_rise, rise[n]);
+                late_fall = later(late_fall, fall[n]);
+                first_rise = first_rise.min(rise[n]);
+            }
+            // Unmoved nets are +inf and unset pending falls -inf, so a
+            // difference involving either is -inf and leaves the
+            // maximum alone: no branch on the data.
+            g1 = g1.max(late_rise - first_fall);
+            if let Some(b_prev) = previous {
+                let moved = self.late_fall[c];
+                if moved.is_finite() {
+                    self.pending[c] = b_prev + moved;
+                }
+                required = required.max(self.pending[c] - first_rise);
+            }
+            self.late_fall[c] = late_fall;
+        }
+        let a_k = match previous {
+            None => 0.0,
+            Some(b_prev) => {
+                let g2 = if required.is_finite() {
+                    required - b_prev
+                } else {
+                    0.0
+                };
+                let mut a_k = b_prev + self.widen(g2);
+                let k = self.spacer_at.len();
+                if self.occupancy == Occupancy::Two && k >= 2 {
+                    a_k = a_k.max(self.spacer_at[k - 2] + self.drain_ps[k - 2] + GAP_PAD_PS);
+                }
+                a_k
+            }
+        };
+        self.inject_at.push(a_k);
+        self.spacer_at.push(a_k + self.widen(g1));
+        self.drain_ps.push(profile.drain_rel_ps);
+    }
+}
+
+/// A token's profile restricted to the decode nets, slot by slot.
+struct DecodeTimes {
+    rise: Vec<f64>,
+    fall: Vec<f64>,
+}
+
+impl DecodeTimes {
+    fn of(profile: &TokenProfile, nets: &[NetId]) -> Self {
+        Self {
+            rise: nets
+                .iter()
+                .map(|n| profile.rise_rel_ps[n.index()])
+                .collect(),
+            fall: nets
+                .iter()
+                .map(|n| profile.fall_rel_ps[n.index()])
+                .collect(),
+        }
+    }
+}
+
+impl TokenProfile {
+    /// A profile of `nets` nets that no wave has moved yet.
+    fn unmoved(nets: usize) -> Self {
+        Self {
+            rise_rel_ps: vec![f64::INFINITY; nets],
+            fall_rel_ps: vec![f64::INFINITY; nets],
+            drain_rel_ps: 0.0,
+            settle_ps: 0.0,
+        }
+    }
 }
 
 /// The serial driver's non-monotonic-switching violation, raised by the
@@ -555,35 +713,42 @@ fn non_monotonic(net: NetId, delta: u64) -> DualRailError {
     }
 }
 
-/// Per-slice transition recorder over the watched nets (observed
-/// outputs, probes and `done`): the raw material the post-drain
-/// attribution decodes tokens from.  Nets whose quiescent level is
-/// unknown are unobservable and stay out of the log, mirroring the
-/// serial driver reading their settled `X` directly.
-struct TransitionLog {
-    nets: Vec<(NetId, Logic)>,
+/// The nets a transition log records: the `watched` nets (see
+/// [`watched_nets`]), each with its quiescent level.  Nets whose
+/// quiescent level is unknown are unobservable and stay out, mirroring
+/// the serial driver reading their settled `X` directly.
+fn log_nets(watched: &[NetId], snapshot: &[Logic]) -> Vec<(NetId, Logic)> {
+    watched
+        .iter()
+        .map(|&net| (net, snapshot[net.index()]))
+        .filter(|&(_, quiet)| quiet != Logic::Unknown)
+        .collect()
+}
+
+/// The input-stage acknowledge set: each stage net with its quiescent
+/// level.
+fn stage_levels(timing: &WavefrontTiming, snapshot: &[Logic]) -> Vec<(NetId, Logic)> {
+    timing
+        .stage_nets
+        .iter()
+        .map(|&n| (n, snapshot[n.index()]))
+        .collect()
+}
+
+/// Per-slice transition recorder over the log nets (see [`log_nets`]):
+/// the raw material the replay check matches against the profiles.
+struct TransitionLog<'n> {
+    nets: &'n [(NetId, Logic)],
     values: Vec<Logic>,
     events: Vec<Vec<(f64, Logic)>>,
 }
 
-impl TransitionLog {
-    fn new(watched: &[NetId], snapshot: &[Logic], sim: &Simulator<'_>) -> Self {
-        let mut seen = std::collections::HashSet::new();
-        let mut nets = Vec::new();
-        let mut values = Vec::new();
-        for &net in watched {
-            let quiet = snapshot[net.index()];
-            if quiet == Logic::Unknown || !seen.insert(net) {
-                continue;
-            }
-            nets.push((net, quiet));
-            values.push(sim.value(net));
-        }
-        let events = vec![Vec::new(); nets.len()];
+impl<'n> TransitionLog<'n> {
+    fn new(nets: &'n [(NetId, Logic)], sim: &Simulator<'_>) -> Self {
         Self {
             nets,
-            values,
-            events,
+            values: nets.iter().map(|&(net, _)| sim.value(net)).collect(),
+            events: vec![Vec::new(); nets.len()],
         }
     }
 
@@ -917,20 +1082,285 @@ fn audit_done_edges(
     Ok(())
 }
 
-/// The full set of nets the transition log must observe: decoded
-/// outputs, probes and — when completion is token-resolved — `done`.
+/// The full set of nets the transition log must observe, without
+/// duplicates: decoded outputs, probes and — when completion is
+/// token-resolved — `done`.
 fn watched_nets(circuit: &DualRailNetlist, include_done: bool) -> Vec<NetId> {
-    let mut watched = circuit.observed_output_nets();
-    for (_, signal) in circuit.probes() {
-        watched.push(signal.positive);
-        watched.push(signal.negative);
-    }
-    if include_done {
-        if let Some(done) = circuit.done() {
-            watched.push(done);
+    let probes = circuit
+        .probes()
+        .iter()
+        .flat_map(|(_, signal)| [signal.positive, signal.negative]);
+    let done = circuit.done().filter(|_| include_done);
+    let mut watched: Vec<NetId> = Vec::new();
+    for net in circuit
+        .observed_output_nets()
+        .into_iter()
+        .chain(probes)
+        .chain(done)
+    {
+        if !watched.contains(&net) {
+            watched.push(net);
         }
     }
     watched
+}
+
+/// The cells the wavefront schedule folds over — every cell with
+/// inputs except flip-flops, in netlist order — as one flat CSR table
+/// built once per driver, so the per-token schedule walks three arrays
+/// instead of the netlist's per-cell input lists.
+#[derive(Debug)]
+struct ScheduleCells {
+    /// Per scheduled cell: its output net index.
+    outputs: Vec<u32>,
+    /// Per scheduled cell `c`: its input net indices are
+    /// `inputs[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<u32>,
+    inputs: Vec<u32>,
+}
+
+impl ScheduleCells {
+    fn new(nl: &netlist::Netlist) -> Self {
+        let mut cells = Self {
+            outputs: Vec::new(),
+            offsets: vec![0],
+            inputs: Vec::new(),
+        };
+        for (_, cell) in nl.cells() {
+            if cell.inputs().is_empty() || cell.kind() == CellKind::Dff {
+                continue;
+            }
+            let index = |net: NetId| u32::try_from(net.index()).expect("nets fit in u32");
+            cells.outputs.push(index(cell.output()));
+            cells.inputs.extend(cell.inputs().iter().map(|&n| index(n)));
+            cells
+                .offsets
+                .push(u32::try_from(cells.inputs.len()).expect("pins fit in u32"));
+        }
+        cells
+    }
+
+    fn inputs(&self, cell: usize) -> &[u32] {
+        &self.inputs[self.offsets[cell] as usize..self.offsets[cell + 1] as usize]
+    }
+}
+
+/// Which wave a sliced profile pass is recording.
+#[derive(Clone, Copy, PartialEq)]
+enum Phase {
+    Valid,
+    Spacer,
+}
+
+/// Tokens per word of the sliced profile pass: one default train.
+/// Lanes injected together share their valid-phase events, but a
+/// word's lane profiles and valid-phase queue are alive at once, so
+/// the word stays at the train size the pipelined runs use.
+const PROFILE_LANES: usize = 16;
+
+/// Changes the sliced profile pass lets the recorder hold before it
+/// folds them into the profiles, bounding the recorder at a few tens
+/// of KiB whatever the word and the netlist.
+const CHANGE_BATCH: usize = 512;
+
+/// One lane's profile as the sliced pass records it: the nets each
+/// wave moved, in the order they moved, and when.  A token moves about
+/// a third of the nets, so a word of these is far smaller than a word
+/// of [`TokenProfile`]s.
+#[derive(Clone)]
+struct LaneProfile {
+    rise_nets: Vec<u32>,
+    rise_ps: Vec<f64>,
+    fall_nets: Vec<u32>,
+    fall_ps: Vec<f64>,
+    /// One bit per net: moved in the current phase.
+    moved: Vec<u64>,
+    settle_ps: f64,
+    drain_rel_ps: f64,
+}
+
+impl LaneProfile {
+    fn new(nets: usize) -> Self {
+        Self {
+            rise_nets: Vec::new(),
+            rise_ps: Vec::new(),
+            fall_nets: Vec::new(),
+            fall_ps: Vec::new(),
+            moved: vec![0; nets.div_ceil(64)],
+            settle_ps: 0.0,
+            drain_rel_ps: 0.0,
+        }
+    }
+
+    /// Writes this profile into `dense`, an unmoved [`TokenProfile`],
+    /// hands it to `f`, and wipes it back to unmoved.
+    fn expand<R>(&self, dense: &mut TokenProfile, f: impl FnOnce(&TokenProfile) -> R) -> R {
+        for (&net, &t) in self.rise_nets.iter().zip(&self.rise_ps) {
+            dense.rise_rel_ps[net as usize] = t;
+        }
+        for (&net, &t) in self.fall_nets.iter().zip(&self.fall_ps) {
+            dense.fall_rel_ps[net as usize] = t;
+        }
+        dense.settle_ps = self.settle_ps;
+        dense.drain_rel_ps = self.drain_rel_ps;
+        let result = f(dense);
+        for &net in &self.rise_nets {
+            dense.rise_rel_ps[net as usize] = f64::INFINITY;
+        }
+        for &net in &self.fall_nets {
+            dense.fall_rel_ps[net as usize] = f64::INFINITY;
+        }
+        result
+    }
+}
+
+/// Folds the recorded changes into the lanes' profiles — rise times
+/// for the valid wave; fall times, relative to each lane's own spacer
+/// edge, and the drain time for the spacer wave — and empties the
+/// recorder.  `None` if a net switches twice in one phase, or a lane
+/// outside the word moves.
+fn take_changes(
+    sim: &mut SlicedSimulator<'_>,
+    lanes: &mut [LaneProfile],
+    phase: Phase,
+) -> Option<()> {
+    for &(net, mut changed, t) in sim.changes() {
+        let (word, bit) = (net.index() / 64, 1u64 << (net.index() % 64));
+        let index = u32::try_from(net.index()).expect("nets fit in u32");
+        while changed != 0 {
+            let lane = changed.trailing_zeros() as usize;
+            changed &= changed - 1;
+            let profile = lanes.get_mut(lane)?;
+            if profile.moved[word] & bit != 0 {
+                return None;
+            }
+            profile.moved[word] |= bit;
+            match phase {
+                Phase::Valid => {
+                    profile.rise_nets.push(index);
+                    profile.rise_ps.push(t);
+                }
+                Phase::Spacer => {
+                    let fall = t - profile.settle_ps;
+                    profile.fall_nets.push(index);
+                    profile.fall_ps.push(fall);
+                    profile.drain_rel_ps = profile.drain_rel_ps.max(fall);
+                }
+            }
+        }
+    }
+    sim.clear_changes();
+    Some(())
+}
+
+/// Steps one time slice of `phase`, folding the recorder into the
+/// profiles once it holds [`CHANGE_BATCH`] changes; `None` on a
+/// watchdog trip or a net switching twice.
+fn step(
+    sim: &mut SlicedSimulator<'_>,
+    budget: &mut u64,
+    profiles: &mut [LaneProfile],
+    phase: Phase,
+) -> Option<()> {
+    if !matches!(sim.step_time_slice(budget), StepOutcome::Advanced { .. }) {
+        return None;
+    }
+    if sim.changes().len() >= CHANGE_BATCH {
+        take_changes(sim, profiles, phase)?;
+    }
+    Some(())
+}
+
+/// `acc` raised to `t`, unless `t` is infinite (a net the wave never
+/// moved).
+fn later(acc: f64, t: f64) -> f64 {
+    acc.max(if t.is_finite() { t } else { f64::NEG_INFINITY })
+}
+
+/// Profiles one word of up to [`PROFILE_LANES`] tokens on `profiler`,
+/// one lane per token, with every check of the serial pass; `None` if
+/// any lane fails one.
+///
+/// Every lane injects at time zero, so rise times match the scalar
+/// pass as they stand.  The scalar pass drives each spacer at its own
+/// valid-settle time `t1` (the scalar `now_ps`, which is the lane's
+/// [`SlicedSimulator::lane_now_ps`]), so the spacer goes in lane group
+/// by lane group in ascending `t1`, each group in a frame rebased so
+/// that its edge sits at exactly its `t1`: every fall event is then the
+/// same float sum `t1 + d₁ + d₂ …` the scalar engine computes.
+fn profile_word(
+    profiler: &mut SlicedProtocolDriver<'_>,
+    word: &[Vec<bool>],
+    snapshot: &[Logic],
+) -> Option<Vec<LaneProfile>> {
+    let circuit = profiler.circuit();
+    let done = circuit.done();
+    let run = lane_mask(word.len());
+
+    let nets = circuit.netlist().net_count();
+    let mut profiles = vec![LaneProfile::new(nets); word.len()];
+
+    // Phase 1: spacer -> valid, every lane at t = 0.  Each settle steps
+    // slice by slice under one event budget, the scalar settle's bound:
+    // a lane's pops are a subset of the merged pops.
+    let sim = profiler.sim_mut();
+    if sim.has_pending_events() {
+        return None;
+    }
+    sim.reset_time();
+    sim.clear_changes();
+    let mut budget = sim.event_limit();
+    profiler.drive_valid_planes(word, run);
+    while profiler.sim().has_pending_events() {
+        step(profiler.sim_mut(), &mut budget, &mut profiles, Phase::Valid)?;
+    }
+    take_changes(profiler.sim_mut(), &mut profiles, Phase::Valid)?;
+    let sim = profiler.sim();
+    for (lane, profile) in profiles.iter_mut().enumerate() {
+        profiler.decode_outputs_lane(lane).ok()?;
+        if done.is_some_and(|done| !sim.value(done, lane).is_one()) {
+            return None;
+        }
+        profile.settle_ps = sim.lane_now_ps(lane);
+    }
+
+    // Phase 2: valid -> spacer, one group of lanes with equal t1 at a
+    // time.  Lanes of different groups never share an event anyway, so
+    // each group settles alone; the queue then holds one group's wave
+    // instead of every lane's.
+    for profile in &mut profiles {
+        profile.moved.fill(0);
+    }
+    let settle: Vec<f64> = profiles.iter().map(|p| p.settle_ps).collect();
+    let mut order: Vec<usize> = (0..word.len()).collect();
+    order.sort_by(|&a, &b| settle[a].total_cmp(&settle[b]));
+    for group in order.chunk_by(|&a, &b| settle[a] == settle[b]) {
+        let sim = profiler.sim_mut();
+        sim.reset_time();
+        sim.advance_to(settle[group[0]]);
+        let mut budget = sim.event_limit();
+        profiler.drive_spacer_planes(group.iter().fold(0, |mask, &lane| mask | 1 << lane));
+        while profiler.sim().has_pending_events() {
+            step(
+                profiler.sim_mut(),
+                &mut budget,
+                &mut profiles,
+                Phase::Spacer,
+            )?;
+        }
+    }
+    take_changes(profiler.sim_mut(), &mut profiles, Phase::Spacer)?;
+    let sim = profiler.sim();
+    for lane in 0..word.len() {
+        profiler.check_outputs_at_spacer_lane(lane).ok()?;
+        if done.is_some_and(|done| !sim.value(done, lane).is_zero()) {
+            return None;
+        }
+    }
+    if sim.lane_state_mismatch(snapshot, !0).is_some() {
+        return None;
+    }
+    Some(profiles)
 }
 
 /// The wavefront-pipelined four-phase protocol driver: tokens flow
@@ -949,6 +1379,26 @@ pub struct PipelinedProtocolDriver<'a> {
     config: PipelineConfig,
     snapshot: Arc<[Logic]>,
     horizon_ps: Option<f64>,
+    /// The decoded output nets, in the serial driver's order.
+    observed: Vec<NetId>,
+    /// The nets the replay check and the decode read profile times
+    /// of (see [`watched_nets`]).
+    decode_nets: Vec<NetId>,
+    /// Per net: its slot in `decode_nets` (see [`slots_of`]).
+    decode_slots: Vec<u32>,
+    /// The replay log's nets (see [`log_nets`]), `done` included.
+    log_nets: Vec<(NetId, Logic)>,
+    /// The input-stage acknowledge set with its quiescent levels.
+    stage: Vec<(NetId, Logic)>,
+    /// The cells the wavefront schedule folds over.
+    cells: ScheduleCells,
+    /// The 64-lane profile engine over the same program, built by the
+    /// first train that can use it and dropped after any sliced
+    /// profile that fails.
+    profiler: Option<SlicedProtocolDriver<'a>>,
+    /// Whether a non-empty fault plan is installed: faulted trains
+    /// profile on the scalar simulator, where the plan lives.
+    faulted: bool,
 }
 
 impl<'a> PipelinedProtocolDriver<'a> {
@@ -997,12 +1447,27 @@ impl<'a> PipelinedProtocolDriver<'a> {
     ) -> Result<Self, DualRailError> {
         let snapshot = inner.quiescent_snapshot();
         inner.enable_reset_contract(Arc::clone(&snapshot));
+        let circuit = inner.circuit();
+        let observed = circuit.observed_output_nets();
+        let decode_nets = watched_nets(circuit, true);
+        let decode_slots = slots_of(decode_nets.iter().copied(), circuit.netlist().net_count());
+        let log_nets = log_nets(&decode_nets, &snapshot);
+        let stage = stage_levels(&timing, &snapshot);
+        let cells = ScheduleCells::new(circuit.netlist());
         Ok(Self {
             inner,
             timing,
             config,
             snapshot,
             horizon_ps: None,
+            observed,
+            decode_nets,
+            decode_slots,
+            log_nets,
+            stage,
+            cells,
+            profiler: None,
+            faulted: false,
         })
     }
 
@@ -1062,7 +1527,8 @@ impl<'a> PipelinedProtocolDriver<'a> {
     }
 
     /// Installs a [`tm_obs::WaveProbe`] on the underlying simulator
-    /// (see [`ProtocolDriver::attach_wave_probe`]).
+    /// (see [`ProtocolDriver::attach_wave_probe`]).  The probe records
+    /// the overlapped replay, plus any train profiled serially there.
     pub fn attach_wave_probe(&mut self, probe: tm_obs::WaveProbe) {
         self.inner.attach_wave_probe(probe);
     }
@@ -1079,15 +1545,19 @@ impl<'a> PipelinedProtocolDriver<'a> {
     /// per replayed train, and pulses re-arm at each rebase, so a
     /// pulse can fire in several frames — any divergence between the
     /// profile and the replay surfaces as a typed violation, never as
-    /// a silently altered outcome.
+    /// a silently altered outcome.  A faulted driver profiles serially
+    /// on the scalar simulator, where the plan lives.
     ///
     /// # Errors
     ///
     /// Returns [`DualRailError::SimulationDiverged`] if the faulted
     /// circuit cannot settle.
     pub fn set_fault_plan(&mut self, plan: &gatesim::FaultPlan) -> Result<(), DualRailError> {
+        self.faulted = !plan.is_empty();
         self.inner.set_fault_plan(plan)?;
         self.snapshot = self.inner.quiescent_snapshot();
+        self.log_nets = log_nets(&self.decode_nets, &self.snapshot);
+        self.stage = stage_levels(&self.timing, &self.snapshot);
         Ok(())
     }
 
@@ -1127,37 +1597,20 @@ impl<'a> PipelinedProtocolDriver<'a> {
         &mut self,
         operands: &[Vec<bool>],
     ) -> Result<Vec<OperandResult>, DualRailError> {
-        let expected = self.inner.circuit().input_count();
-        for operand in operands {
-            if operand.len() != expected {
-                return Err(DualRailError::OperandWidthMismatch {
-                    expected,
-                    got: operand.len(),
-                });
-            }
-        }
+        self.check_widths(operands)?;
         if operands.is_empty() {
             return Ok(Vec::new());
         }
-        // Pass 1: serial profiling.  This pass *is* the serial
-        // protocol, so it also fixes the decoded outcomes and the
-        // serial latencies this train will report.
-        let mut profiles = Vec::with_capacity(operands.len());
-        for operand in operands {
-            profiles.push(self.profile_token(operand)?);
-        }
-        let (inject_at, spacer_at) = self.wavefront_schedule(&profiles);
+        let (schedule, times) = self.profile_and_schedule(operands)?;
+        let WavefrontSchedule {
+            inject_at,
+            spacer_at,
+            ..
+        } = schedule;
+        let slot = |net: NetId| self.decode_slots[net.index()] as usize;
 
         let circuit = self.inner.circuit();
-        let observed = circuit.observed_output_nets();
         let done_net = circuit.done();
-        let watched = watched_nets(circuit, true);
-        let stage: Vec<(NetId, Logic)> = self
-            .timing
-            .stage_nets
-            .iter()
-            .map(|&n| (n, self.snapshot[n.index()]))
-            .collect();
 
         // Pass 2: wavefront replay at the profiled schedule.
         {
@@ -1168,7 +1621,7 @@ impl<'a> PipelinedProtocolDriver<'a> {
             sim.clear_activity();
             sim.reset_time();
         }
-        let mut log = TransitionLog::new(&watched, &self.snapshot, self.inner.sim());
+        let mut log = TransitionLog::new(&self.log_nets, self.inner.sim());
         let mut budget = self.inner.sim().event_limit();
         for (k, operand) in operands.iter().enumerate() {
             if let Some(horizon) = self.horizon_ps {
@@ -1184,7 +1637,8 @@ impl<'a> PipelinedProtocolDriver<'a> {
                 // profiled schedule already guarantees this; under
                 // faults the train parks here until the watchdog trips.
                 loop {
-                    if stage
+                    if self
+                        .stage
                         .iter()
                         .all(|&(net, quiet)| self.inner.sim().value(net) == quiet)
                     {
@@ -1237,11 +1691,11 @@ impl<'a> PipelinedProtocolDriver<'a> {
         for (i, &(net, quiet)) in log.nets.iter().enumerate() {
             let active = active_level(quiet);
             let mut expected: Vec<(f64, Logic)> = Vec::new();
-            for (k, profile) in profiles.iter().enumerate() {
-                let rise = profile.rise_rel_ps[net.index()];
+            for (k, token) in times.iter().enumerate() {
+                let rise = token.rise[slot(net)];
                 if rise.is_finite() {
                     expected.push((inject_at[k] + rise, active));
-                    expected.push((spacer_at[k] + profile.fall_rel_ps[net.index()], quiet));
+                    expected.push((spacer_at[k] + token.fall[slot(net)], quiet));
                 }
             }
             let got = &log.events[i];
@@ -1284,17 +1738,17 @@ impl<'a> PipelinedProtocolDriver<'a> {
         // Decode from the verified profiles.  Phase-relative activation
         // times (injection and spacer edges at zero) keep every latency
         // figure bit-identical to the serial pass.
-        let mut tokens = Vec::with_capacity(profiles.len());
-        for profile in &profiles {
+        let mut tokens = Vec::with_capacity(times.len());
+        for token in &times {
             let activity = |net: NetId| -> Option<Activation> {
-                let rise = profile.rise_rel_ps[net.index()];
+                let rise = token.rise[slot(net)];
                 rise.is_finite()
-                    .then(|| (rise, Some(profile.fall_rel_ps[net.index()])))
+                    .then(|| (rise, Some(token.fall[slot(net)])))
             };
             tokens.push(assemble_token(
                 circuit,
                 &self.snapshot,
-                &observed,
+                &self.observed,
                 done_net,
                 0.0,
                 0.0,
@@ -1315,6 +1769,9 @@ impl<'a> PipelinedProtocolDriver<'a> {
             metrics.cycles.add(tokens.len() as u64);
         }
         self.inner.sim_mut().flush_metrics();
+        // The replay's queue burst would otherwise stay allocated
+        // through the next train's profile pass and add to its peak.
+        self.inner.sim_mut().shrink_queue();
 
         Ok(tokens
             .into_iter()
@@ -1335,6 +1792,157 @@ impl<'a> PipelinedProtocolDriver<'a> {
                 }
             })
             .collect())
+    }
+
+    /// Pass 1: profiling, on the 64-lane engine whenever it applies and
+    /// serially on the scalar simulator otherwise.  Either way the
+    /// profiles are the serial protocol's, bit for bit, so they fix the
+    /// decoded outcomes and the serial latencies the train reports; a
+    /// train the sliced pass cannot vouch for is re-profiled serially
+    /// and fails with the serial driver's own typed errors.
+    ///
+    /// Each profile feeds the schedule as it arrives and is then cut
+    /// down to the decode nets' times, so at most one word of profiles
+    /// is alive at a time.
+    fn profile_and_schedule(
+        &mut self,
+        operands: &[Vec<bool>],
+    ) -> Result<(WavefrontSchedule, Vec<DecodeTimes>), DualRailError> {
+        let mut schedule = WavefrontSchedule::new(&self.config, self.cells.outputs.len());
+        let mut times = Vec::with_capacity(operands.len());
+        if let Some(mut profiler) = self.take_profiler() {
+            let mut dense = TokenProfile::unmoved(self.inner.circuit().netlist().net_count());
+            let mut vouched = true;
+            for word in operands.chunks(PROFILE_LANES) {
+                let Some(lanes) = profile_word(&mut profiler, word, &self.snapshot) else {
+                    vouched = false;
+                    break;
+                };
+                for lane in &lanes {
+                    lane.expand(&mut dense, |profile| {
+                        self.absorb(&mut schedule, &mut times, profile);
+                    });
+                }
+            }
+            if vouched {
+                // Between trains the profiler's queue capacity would only
+                // add to the replay's peak memory; the next word regrows
+                // it.
+                profiler.sim_mut().shrink_queue();
+                self.profiler = Some(profiler);
+                return Ok((schedule, times));
+            }
+            schedule = WavefrontSchedule::new(&self.config, self.cells.outputs.len());
+            times.clear();
+        }
+        for operand in operands {
+            let profile = self.profile_token(operand)?;
+            self.absorb(&mut schedule, &mut times, &profile);
+        }
+        Ok((schedule, times))
+    }
+
+    /// Feeds one token's profile to the schedule and keeps its
+    /// decode-net times.
+    fn absorb(
+        &self,
+        schedule: &mut WavefrontSchedule,
+        times: &mut Vec<DecodeTimes>,
+        profile: &TokenProfile,
+    ) {
+        schedule.push(&self.cells, profile);
+        times.push(DecodeTimes::of(profile, &self.decode_nets));
+    }
+
+    fn check_widths(&self, operands: &[Vec<bool>]) -> Result<(), DualRailError> {
+        let expected = self.inner.circuit().input_count();
+        match operands.iter().find(|operand| operand.len() != expected) {
+            Some(operand) => Err(DualRailError::OperandWidthMismatch {
+                expected,
+                got: operand.len(),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Runs only the profile pass of a train, serially on the scalar
+    /// simulator: one exact contract-mode four-phase cycle per token,
+    /// recording every net's rise and fall time.  This is the pass
+    /// [`PipelinedProtocolDriver::run_train`] falls back to.
+    ///
+    /// # Errors
+    ///
+    /// The serial driver's typed errors, for the first failing token.
+    pub fn profile_train(
+        &mut self,
+        operands: &[Vec<bool>],
+    ) -> Result<Vec<TokenProfile>, DualRailError> {
+        self.check_widths(operands)?;
+        operands
+            .iter()
+            .map(|operand| self.profile_token(operand))
+            .collect()
+    }
+
+    /// Runs only the profile pass of a train on the 64-lane engine, one
+    /// lane per token and one word per 16 tokens — the pass
+    /// [`PipelinedProtocolDriver::run_train`] takes whenever it can.
+    /// The profiles are bit-identical to
+    /// [`PipelinedProtocolDriver::profile_train`]'s.
+    ///
+    /// Returns `None` where `run_train` would profile serially instead:
+    /// with a fault plan installed, with the scalar simulator away from
+    /// the quiescent snapshot, with a wrong operand width, or when any
+    /// lane fails any check of the serial pass.
+    pub fn profile_train_sliced(&mut self, operands: &[Vec<bool>]) -> Option<Vec<TokenProfile>> {
+        self.check_widths(operands).ok()?;
+        let mut profiler = self.take_profiler()?;
+        let mut dense = TokenProfile::unmoved(self.inner.circuit().netlist().net_count());
+        let mut profiles = Vec::with_capacity(operands.len());
+        for word in operands.chunks(PROFILE_LANES) {
+            for lane in profile_word(&mut profiler, word, &self.snapshot)? {
+                profiles.push(lane.expand(&mut dense, TokenProfile::clone));
+            }
+        }
+        self.profiler = Some(profiler);
+        Some(profiles)
+    }
+
+    /// Checks the 64-lane profile engine out for a train, building it
+    /// on first use, or `None` where trains profile serially: with a
+    /// fault plan installed, or with either simulator away from the
+    /// quiescent snapshot.  The caller puts it back only
+    /// after a profile that passed, so a failed profiler is rebuilt.
+    ///
+    /// Both engines start every token from the same verified quiescent
+    /// state, and each lane's pop sequence is the scalar engine's for
+    /// that token, so every check the serial pass makes holds for a
+    /// lane exactly when it holds for the token.
+    fn take_profiler(&mut self) -> Option<SlicedProtocolDriver<'a>> {
+        if self.faulted || !self.inner.is_idle_at(&self.snapshot) {
+            return None;
+        }
+        let mut profiler = match self.profiler.take() {
+            Some(profiler) if profiler.is_idle_at(&self.snapshot) => profiler,
+            _ => {
+                let sim = SlicedSimulator::from_program(Arc::clone(self.inner.sim().program()));
+                let circuit = self.inner.circuit();
+                let snapshot = Arc::clone(&self.snapshot);
+                let mut profiler =
+                    SlicedProtocolDriver::from_sliced_simulator(circuit, sim, snapshot, true)
+                        .ok()?;
+                profiler.sim_mut().record_changes();
+                profiler
+            }
+        };
+        // The scalar watchdog bounds, so a lane that would trip the
+        // serial watchdog trips this one: a lane's events are a subset
+        // of the word's merged pops, in the same time frame.
+        profiler.set_event_limit(self.inner.sim().event_limit());
+        if let Some(horizon) = self.horizon_ps {
+            profiler.set_time_horizon_ps(horizon);
+        }
+        Some(profiler)
     }
 
     /// Serial profiling pass, one token: runs the exact contract-mode
@@ -1424,104 +2032,8 @@ impl<'a> PipelinedProtocolDriver<'a> {
             rise_rel_ps,
             fall_rel_ps,
             drain_rel_ps,
+            settle_ps: t1,
         })
-    }
-
-    /// Computes the wavefront injection schedule from the measured
-    /// profiles.  Per cell and consecutive token pair:
-    ///
-    /// * the spacer wave of token `k` may first touch a cell only after
-    ///   the cell's token-`k` rise activity (output *and* inputs — a
-    ///   cell whose output never switches still constrains its input
-    ///   pair) has ended, giving the valid→spacer offset `g₁ₖ`;
-    /// * token `k+1`'s data wave may first touch a cell only after the
-    ///   latest *pending* fall activity there has drained, giving the
-    ///   injection gap `g₂ₖ`.  Pending falls are tracked per cell
-    ///   across tokens, so a wave also clears falls left by earlier
-    ///   tokens at cells the intervening tokens never exercised.
-    ///
-    /// Each gap gets the configured multiplicative safety margin plus
-    /// the fixed [`GAP_PAD_PS`] slice-separation pad.  At
-    /// [`Occupancy::Two`] the next injection additionally waits for
-    /// token `k-1` to drain completely, capping the train at two tokens
-    /// in flight.
-    fn wavefront_schedule(&self, profiles: &[TokenProfile]) -> (Vec<f64>, Vec<f64>) {
-        let nl = self.inner.circuit().netlist();
-        let margin = self.config.separation_margin;
-        let widen = |raw: f64| raw.max(0.0).mul_add(1.0 + margin, GAP_PAD_PS);
-        let mut pending = vec![f64::NEG_INFINITY; nl.cell_count()];
-        let mut inject_at = Vec::with_capacity(profiles.len());
-        let mut spacer_at = Vec::with_capacity(profiles.len());
-        let mut a_k = 0.0f64;
-        for (k, profile) in profiles.iter().enumerate() {
-            inject_at.push(a_k);
-            let mut g1 = 0.0f64;
-            for (_, cell) in nl.cells() {
-                if cell.inputs().is_empty() || cell.kind() == CellKind::Dff {
-                    continue;
-                }
-                let first_fall = cell
-                    .inputs()
-                    .iter()
-                    .map(|&n| profile.fall_rel_ps[n.index()])
-                    .fold(f64::INFINITY, f64::min);
-                if !first_fall.is_finite() {
-                    continue;
-                }
-                let late_rise = cell
-                    .inputs()
-                    .iter()
-                    .map(|&n| profile.rise_rel_ps[n.index()])
-                    .chain([profile.rise_rel_ps[cell.output().index()]])
-                    .filter(|t| t.is_finite())
-                    .fold(f64::NEG_INFINITY, f64::max);
-                g1 = g1.max(late_rise - first_fall);
-            }
-            let b_k = a_k + widen(g1);
-            spacer_at.push(b_k);
-
-            let Some(next_profile) = profiles.get(k + 1) else {
-                break;
-            };
-            let mut required = f64::NEG_INFINITY;
-            for (cid, cell) in nl.cells() {
-                if cell.inputs().is_empty() || cell.kind() == CellKind::Dff {
-                    continue;
-                }
-                let late_fall = cell
-                    .inputs()
-                    .iter()
-                    .map(|&n| profile.fall_rel_ps[n.index()])
-                    .chain([profile.fall_rel_ps[cell.output().index()]])
-                    .filter(|t| t.is_finite())
-                    .fold(f64::NEG_INFINITY, f64::max);
-                if late_fall.is_finite() {
-                    pending[cid.index()] = b_k + late_fall;
-                }
-                let clear_at = pending[cid.index()];
-                if clear_at == f64::NEG_INFINITY {
-                    continue;
-                }
-                let first_rise = cell
-                    .inputs()
-                    .iter()
-                    .map(|&n| next_profile.rise_rel_ps[n.index()])
-                    .fold(f64::INFINITY, f64::min);
-                if first_rise.is_finite() {
-                    required = required.max(clear_at - first_rise);
-                }
-            }
-            let g2 = if required.is_finite() {
-                required - b_k
-            } else {
-                0.0
-            };
-            a_k = b_k + widen(g2);
-            if self.config.occupancy == Occupancy::Two && k >= 1 {
-                a_k = a_k.max(spacer_at[k - 1] + profiles[k - 1].drain_rel_ps + GAP_PAD_PS);
-            }
-        }
-        (inject_at, spacer_at)
     }
 }
 
@@ -1538,6 +2050,10 @@ impl<'a> WorkerDriver<'a> for PipelinedProtocolDriver<'a> {
 
     fn is_idle_at(&self, snapshot: &[Logic]) -> bool {
         self.inner.is_idle_at(snapshot)
+            && self
+                .profiler
+                .as_ref()
+                .is_none_or(|profiler| profiler.is_idle_at(snapshot))
     }
 
     fn pipeline(&self) -> Option<PipelineConfig> {
@@ -1545,37 +2061,43 @@ impl<'a> WorkerDriver<'a> for PipelinedProtocolDriver<'a> {
     }
 }
 
-/// 64-lane transition recorder: diffs each watched net's value/unknown
+/// Marker in a per-net log-slot table for nets the log does not record.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Per net: its position in `nets`, or [`NO_SLOT`].
+fn slots_of(nets: impl Iterator<Item = NetId>, net_count: usize) -> Vec<u32> {
+    let mut slots = vec![NO_SLOT; net_count];
+    for (slot, net) in nets.enumerate() {
+        slots[net.index()] = u32::try_from(slot).expect("nets fit in u32");
+    }
+    slots
+}
+
+/// 64-lane transition recorder: diffs each log net's value/unknown
 /// bit-planes per time slice and logs per-lane changes.
-struct SlicedTransitionLog {
-    nets: Vec<(NetId, Logic)>,
-    slots: HashMap<NetId, usize>,
+struct SlicedTransitionLog<'n> {
+    nets: &'n [(NetId, Logic)],
+    /// Per net: its slot in `nets` (see [`slots_of`]).
+    slots: &'n [u32],
     planes: Vec<(u64, u64)>,
     /// `events[slot][lane]`.
     events: Vec<Vec<Vec<(f64, Logic)>>>,
 }
 
-impl SlicedTransitionLog {
-    fn new(watched: &[NetId], snapshot: &[Logic], sim: &SlicedSimulator<'_>) -> Self {
-        let mut nets = Vec::new();
-        let mut slots = HashMap::new();
-        let mut planes = Vec::new();
-        for &net in watched {
-            let quiet = snapshot[net.index()];
-            if quiet == Logic::Unknown || slots.contains_key(&net) {
-                continue;
-            }
-            slots.insert(net, nets.len());
-            nets.push((net, quiet));
-            planes.push(sim.plane(net));
-        }
-        let events = vec![vec![Vec::new(); LANES]; nets.len()];
+impl<'n> SlicedTransitionLog<'n> {
+    fn new(nets: &'n [(NetId, Logic)], slots: &'n [u32], sim: &SlicedSimulator<'_>) -> Self {
         Self {
             nets,
             slots,
-            planes,
-            events,
+            planes: nets.iter().map(|&(net, _)| sim.plane(net)).collect(),
+            events: vec![vec![Vec::new(); LANES]; nets.len()],
         }
+    }
+
+    /// The slot of `net`, if the log records it.
+    fn slot(&self, net: NetId) -> Option<usize> {
+        let slot = self.slots[net.index()];
+        (slot != NO_SLOT).then_some(slot as usize)
     }
 
     fn sample(&mut self, sim: &SlicedSimulator<'_>) {
@@ -1645,6 +2167,15 @@ pub struct SlicedPipelinedProtocolDriver<'a> {
     timing: WavefrontTiming,
     config: PipelineConfig,
     horizon_ps: Option<f64>,
+    /// The decoded output nets, in the serial driver's order.
+    observed: Vec<NetId>,
+    /// The transition log's nets (see [`log_nets`]); `done` only when
+    /// completion is token-resolved.
+    log_nets: Vec<(NetId, Logic)>,
+    /// Per net: its slot in `log_nets`.
+    log_slots: Vec<u32>,
+    /// The input-stage acknowledge set with its quiescent levels.
+    stage: Vec<(NetId, Logic)>,
 }
 
 impl<'a> SlicedPipelinedProtocolDriver<'a> {
@@ -1671,12 +2202,29 @@ impl<'a> SlicedPipelinedProtocolDriver<'a> {
     ) -> Result<Self, DualRailError> {
         let inner =
             SlicedProtocolDriver::from_sliced_simulator(circuit, sim, snapshot, check_monotonic)?;
-        Ok(Self {
+        let mut driver = Self {
             inner,
             timing,
             config,
             horizon_ps: None,
-        })
+            observed: circuit.observed_output_nets(),
+            log_nets: Vec::new(),
+            log_slots: Vec::new(),
+            stage: Vec::new(),
+        };
+        driver.snapshot_constants();
+        Ok(driver)
+    }
+
+    /// Recomputes the constants that depend on the quiescent snapshot.
+    fn snapshot_constants(&mut self) {
+        let circuit = self.inner.circuit();
+        let snapshot = self.inner.snapshot();
+        let resolve_done = self.config.occupancy == Occupancy::Two;
+        self.log_nets = log_nets(&watched_nets(circuit, resolve_done), snapshot);
+        let net_count = circuit.netlist().net_count();
+        self.log_slots = slots_of(self.log_nets.iter().map(|&(net, _)| net), net_count);
+        self.stage = stage_levels(&self.timing, snapshot);
     }
 
     /// The wavefront timing bounds this driver schedules against.
@@ -1725,7 +2273,9 @@ impl<'a> SlicedPipelinedProtocolDriver<'a> {
     /// Returns [`DualRailError::SimulationDiverged`] if the faulted
     /// circuit cannot settle.
     pub fn set_fault_plan(&mut self, plan: &gatesim::FaultPlan) -> Result<(), DualRailError> {
-        self.inner.set_fault_plan(plan)
+        self.inner.set_fault_plan(plan)?;
+        self.snapshot_constants();
+        Ok(())
     }
 
     /// Runs one train of operands (cut into words of up to [`LANES`]
@@ -1775,23 +2325,15 @@ impl<'a> SlicedPipelinedProtocolDriver<'a> {
             return Ok(Vec::new());
         }
         let circuit = self.inner.circuit();
-        let observed = circuit.observed_output_nets();
         let done_net = circuit.done();
         let resolve_done = self.config.occupancy == Occupancy::Two;
         let attributed_done = if resolve_done { done_net } else { None };
-        let watched = watched_nets(circuit, resolve_done);
         let margin = self.config.separation_margin;
         let spacer_gap = self.timing.spacer_gap_ps(margin, self.config.occupancy);
         let interval = self
             .timing
             .injection_interval_ps(margin, self.config.occupancy);
         let snapshot = Arc::clone(self.inner.snapshot());
-        let stage: Vec<(NetId, Logic)> = self
-            .timing
-            .stage_nets
-            .iter()
-            .map(|&n| (n, snapshot[n.index()]))
-            .collect();
 
         {
             let sim = self.inner.sim_mut();
@@ -1802,7 +2344,7 @@ impl<'a> SlicedPipelinedProtocolDriver<'a> {
             sim.reset_time();
             sim.reset_lane_events();
         }
-        let mut log = SlicedTransitionLog::new(&watched, &snapshot, self.inner.sim());
+        let mut log = SlicedTransitionLog::new(&self.log_nets, &self.log_slots, self.inner.sim());
 
         let words: Vec<&[Vec<bool>]> = operands.chunks(LANES).collect();
         let m = words.len();
@@ -1826,14 +2368,14 @@ impl<'a> SlicedPipelinedProtocolDriver<'a> {
             let b_k = a_k + spacer_gap;
             run_word_slices_until(self.inner.sim_mut(), &mut log, b_k, &mut budget)?;
             if self.config.gate_injection {
-                self.inner.drive_spacer_planes();
+                self.inner.drive_spacer_planes(lane_mask(LANES));
             }
             spacer_at.push(b_k);
             let next = a_k + interval;
             run_word_slices_until(self.inner.sim_mut(), &mut log, next, &mut budget)?;
             if self.config.gate_injection {
                 loop {
-                    if stage.iter().all(|&(net, quiet)| {
+                    if self.stage.iter().all(|&(net, quiet)| {
                         (0..LANES).all(|lane| self.inner.sim().value(net, lane) == quiet)
                     }) {
                         break;
@@ -1910,14 +2452,13 @@ impl<'a> SlicedPipelinedProtocolDriver<'a> {
                     self.timing.rise_window_ps(net),
                 )?);
             }
-            let activity =
-                |net: NetId, k: usize| log.slots.get(&net).and_then(|&slot| matrix[slot][k]);
+            let activity = |net: NetId, k: usize| log.slot(net).and_then(|slot| matrix[slot][k]);
             let mut tokens = Vec::with_capacity(active_words);
             for k in 0..active_words {
                 tokens.push(assemble_token(
                     circuit,
                     &snapshot,
-                    &observed,
+                    &self.observed,
                     attributed_done,
                     inject_at[k],
                     spacer_at[k],
@@ -1925,9 +2466,8 @@ impl<'a> SlicedPipelinedProtocolDriver<'a> {
                 )?);
             }
             if let Some(done) = attributed_done {
-                let slot = log.slots.get(&done).copied();
                 let empty = Vec::new();
-                audit_done_edges(slot.map_or(&empty, |s| &matrix[s]), active_words)?;
+                audit_done_edges(log.slot(done).map_or(&empty, |s| &matrix[s]), active_words)?;
             }
             if self.inner.monotonicity_check() {
                 let refs: Vec<&TokenView> = tokens.iter().collect();

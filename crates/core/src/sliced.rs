@@ -118,7 +118,7 @@ impl<'a> SlicedProtocolDriver<'a> {
             }
         }
         driver.sim.set_watch_nets(&watched);
-        driver.drive_spacer_planes();
+        driver.drive_spacer_planes(FULL);
         if !driver.sim.run_until_quiescent().is_quiescent() {
             return Err(DualRailError::SimulationDiverged);
         }
@@ -256,16 +256,18 @@ impl<'a> SlicedProtocolDriver<'a> {
         self.check_monotonic
     }
 
-    pub(crate) fn drive_spacer_planes(&mut self) {
+    /// Drives the spacer codeword on the lanes in `lanes`, in the
+    /// scalar driver's input order.
+    pub(crate) fn drive_spacer_planes(&mut self, lanes: u64) {
         if let Some(req) = self.req {
-            self.sim.set_input_planes(req, 0, 0, FULL);
+            self.sim.set_input_planes(req, 0, 0, lanes);
         }
         for (_, signal) in self.circuit.dual_inputs() {
             let (p, n) = DualRailValue::encode_spacer(signal.polarity);
             self.sim
-                .set_input_planes(signal.positive, if p { FULL } else { 0 }, 0, FULL);
+                .set_input_planes(signal.positive, if p { FULL } else { 0 }, 0, lanes);
             self.sim
-                .set_input_planes(signal.negative, if n { FULL } else { 0 }, 0, FULL);
+                .set_input_planes(signal.negative, if n { FULL } else { 0 }, 0, lanes);
         }
     }
 
@@ -541,7 +543,7 @@ impl<'a> SlicedProtocolDriver<'a> {
         // the spacer phase also runs in a zero-based frame.
         self.sim.clear_watch_activity();
         self.sim.reset_time();
-        self.drive_spacer_planes();
+        self.drive_spacer_planes(FULL);
         if !self.sim.run_until_quiescent().is_quiescent() {
             for e in &mut errors {
                 e.get_or_insert(DualRailError::SimulationDiverged);

@@ -208,6 +208,14 @@ impl<'a> Simulator<'a> {
         sim
     }
 
+    /// Releases the event queue's spare capacity (see
+    /// [`EventQueue::shrink_to_fit`]), for a long-lived instance whose
+    /// idle memory matters more than the reallocations of its next
+    /// burst.
+    pub fn shrink_queue(&mut self) {
+        self.queue.shrink_to_fit();
+    }
+
     /// The shared immutable program this instance evaluates.
     #[must_use]
     pub fn program(&self) -> &Arc<EngineProgram<'a>> {

@@ -499,6 +499,20 @@ impl<E: SimEvent> EventQueue<E> {
         self.overflow.clear();
         self.len = 0;
     }
+
+    /// Releases the spare capacity every tier keeps from its busiest
+    /// moment so far; pending events stay queued and pop order is
+    /// unchanged.  Each bucket keeps the capacity of the most events
+    /// it ever held, so a burst of traffic otherwise pins its memory
+    /// for the queue's lifetime.
+    pub fn shrink_to_fit(&mut self) {
+        self.drain.shrink_to_fit();
+        for bucket in &mut self.buckets {
+            bucket.shrink_to_fit();
+        }
+        self.overflow.shrink_to_fit();
+        self.demote_scratch.shrink_to_fit();
+    }
 }
 
 #[cfg(test)]
@@ -533,6 +547,32 @@ mod tests {
             .map(|e| e.net.index())
             .collect();
         assert_eq!(order, vec![7, 8, 9]);
+    }
+
+    #[test]
+    fn shrinking_keeps_pending_events_and_pop_order() {
+        let times = [30.0, 10.0, 20.0, 10.0, 5000.0, 15.0];
+        let fill = |q: &mut EventQueue| {
+            for (i, &t) in times.iter().enumerate() {
+                q.push(ev(t, i));
+            }
+        };
+        let drain = |q: &mut EventQueue| -> Vec<usize> {
+            std::iter::from_fn(|| q.pop())
+                .map(|e| e.net.index())
+                .collect()
+        };
+        let mut reference = EventQueue::new();
+        fill(&mut reference);
+        let mut q = EventQueue::new();
+        fill(&mut q);
+        q.pop();
+        q.shrink_to_fit();
+        assert_eq!(drain(&mut q), drain(&mut reference)[1..]);
+        q.shrink_to_fit();
+        fill(&mut q);
+        fill(&mut reference);
+        assert_eq!(drain(&mut q), drain(&mut reference));
     }
 
     #[test]

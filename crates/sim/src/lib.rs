@@ -79,7 +79,7 @@ pub use parallel::{
     try_run_return_to_zero, OperandRun, ParallelEventSim, Replica, ShardingContract,
 };
 pub use program::EngineProgram;
-pub use sliced::{lane_mask, try_run_word_return_to_zero, SlicedSimulator};
+pub use sliced::{lane_mask, try_run_word_return_to_zero, LaneChange, SlicedSimulator};
 pub use testbench::{run_combinational_vectors, run_synchronous_vectors, SyncRunResult};
 pub use value::Logic;
 

@@ -331,9 +331,46 @@ pub struct SlicedSimulator<'a> {
     suppressed_lane_events: u64,
     /// Attached metric handles plus flush baselines, or `None`.
     metrics: Option<Box<SlicedMetricsState>>,
-    /// Attached waveform probe observing one lane: `(probe, lane bit)`.
-    wave: Option<Box<(tm_obs::WaveProbe, u64)>>,
+    /// Opt-in observers of effective changes, or `None`: the event
+    /// loop pays one branch for both.
+    observers: Option<Box<Observers>>,
 }
+
+/// What watches a sliced instance's effective changes.
+#[derive(Debug, Default)]
+struct Observers {
+    /// Waveform probe observing one lane: `(probe, lane bit)`.
+    wave: Option<(tm_obs::WaveProbe, u64)>,
+    /// Per-change recorder: one entry per effective plane change.
+    changes: Option<Vec<LaneChange>>,
+}
+
+impl Observers {
+    /// Hands one effective change (`diff` = the lanes that moved) to
+    /// every attached observer.
+    fn note(&mut self, net: usize, diff: u64, event: &SlicedEvent) {
+        if let Some(changes) = &mut self.changes {
+            changes.push((NetId::from_index(net), diff, event.time_ps));
+        }
+        if let Some((probe, lane_bit)) = &mut self.wave {
+            if diff & *lane_bit != 0 {
+                let value = if event.x & *lane_bit != 0 {
+                    tm_obs::Wire::X
+                } else if event.v & *lane_bit != 0 {
+                    tm_obs::Wire::V1
+                } else {
+                    tm_obs::Wire::V0
+                };
+                probe.on_change(net, event.time_ps, value);
+            }
+        }
+    }
+}
+
+/// One effective plane change recorded by
+/// [`SlicedSimulator::record_changes`]: the net, the lanes whose value
+/// changed, and the event time.
+pub type LaneChange = (NetId, u64, f64);
 
 /// Metric handles with flush baselines (deltas, never totals, reach
 /// the registry — see the scalar engine's equivalent).  `armed`
@@ -397,7 +434,7 @@ impl<'a> SlicedSimulator<'a> {
             applied_lane_events: 0,
             suppressed_lane_events: 0,
             metrics: None,
-            wave: None,
+            observers: None,
         };
         for i in 0..sim.program.constants.len() {
             let (net, value, delay_ps) = sim.program.constants[i];
@@ -737,10 +774,10 @@ impl<'a> SlicedSimulator<'a> {
             for t in &mut self.watch_last {
                 *t -= self.now_ps;
             }
-            if let Some(wave) = self.wave.as_deref_mut() {
+            if let Some((probe, _)) = self.observers.as_deref_mut().and_then(|o| o.wave.as_mut()) {
                 // Keep the probe's absolute clock monotonic across the
                 // engine's rebased frames.
-                wave.0.rebase(self.now_ps);
+                probe.rebase(self.now_ps);
             }
         }
         self.now_ps = 0.0;
@@ -1059,12 +1096,56 @@ impl<'a> SlicedSimulator<'a> {
             };
             probe.set_initial(net, value);
         }
-        self.wave = Some(Box::new((probe, 1u64 << lane)));
+        self.observers.get_or_insert_with(Box::default).wave = Some((probe, 1u64 << lane));
     }
 
     /// Detaches and returns the waveform probe, if one is attached.
     pub fn take_wave_probe(&mut self) -> Option<tm_obs::WaveProbe> {
-        self.wave.take().map(|wave| wave.0)
+        let observers = self.observers.as_deref_mut()?;
+        observers.wave.take().map(|(probe, _)| probe)
+    }
+
+    /// Releases the event queue's spare capacity (see
+    /// [`EventQueue::shrink_to_fit`]), for a long-lived instance whose
+    /// idle memory matters more than the reallocations of its next
+    /// burst.
+    pub fn shrink_queue(&mut self) {
+        self.queue.shrink_to_fit();
+    }
+
+    /// Starts recording every effective plane change as a
+    /// [`LaneChange`] — the all-net, per-lane change history that the
+    /// fixed-size watch arrays cannot afford (64 lanes × every net).
+    /// The recorder grows with the changes actually made, so a caller
+    /// that clears it per phase ([`SlicedSimulator::clear_changes`])
+    /// pays for one phase of one word, not for the netlist.  Disabled
+    /// (the default), it shares the event loop's one observer branch
+    /// with the wave probe.
+    pub fn record_changes(&mut self) {
+        let observers = self.observers.get_or_insert_with(Box::default);
+        observers.changes.get_or_insert_with(Vec::new);
+    }
+
+    /// The changes recorded since the last
+    /// [`SlicedSimulator::clear_changes`], in apply order (empty when
+    /// recording is off).
+    #[must_use]
+    pub fn changes(&self) -> &[LaneChange] {
+        self.observers
+            .as_deref()
+            .and_then(|o| o.changes.as_deref())
+            .unwrap_or_default()
+    }
+
+    /// Empties the change recorder, keeping its capacity.
+    pub fn clear_changes(&mut self) {
+        if let Some(changes) = self
+            .observers
+            .as_deref_mut()
+            .and_then(|o| o.changes.as_mut())
+        {
+            changes.clear();
+        }
     }
 
     /// Timestamp of the earliest queued event, if any. Wavefront
@@ -1261,18 +1342,8 @@ impl<'a> SlicedSimulator<'a> {
             }
         }
 
-        if let Some(wave) = self.wave.as_deref_mut() {
-            let (probe, lane_bit) = wave;
-            if diff & *lane_bit != 0 {
-                let value = if event.x & *lane_bit != 0 {
-                    tm_obs::Wire::X
-                } else if event.v & *lane_bit != 0 {
-                    tm_obs::Wire::V1
-                } else {
-                    tm_obs::Wire::V0
-                };
-                probe.on_change(net, event.time_ps, value);
-            }
+        if let Some(observers) = self.observers.as_deref_mut() {
+            observers.note(net, diff, &event);
         }
 
         // Re-evaluate every load of the net, restricted to the lanes
@@ -1704,6 +1775,62 @@ mod tests {
         assert_eq!(sim.watch_transitions(parity, 2), 0);
         assert!(sim.watch_last_change_ps(parity, 0) > 0.0);
         assert_eq!(sim.watch_last_change_ps(parity, 0), sim.lane_now_ps(0));
+    }
+
+    #[test]
+    fn change_recorder_logs_every_effective_change_per_lane() {
+        let nl = xor_chain(2);
+        let library = lib();
+        let parity = nl.primary_outputs()[0];
+        let i0 = nl.find_net("i0").unwrap();
+        let i1 = nl.find_net("i1").unwrap();
+        let mut sim = SlicedSimulator::new(&nl, &library);
+        sim.set_watch_nets(&[parity]);
+        assert!(sim.changes().is_empty(), "off by default");
+        sim.set_input_planes(i0, 0, 0, FULL);
+        sim.set_input_planes(i1, 0, 0, FULL);
+        assert!(sim.run_until_quiescent().is_quiescent());
+        sim.reset_time();
+        sim.clear_watch_activity();
+
+        sim.record_changes();
+        sim.set_input_planes(i0, 0b011, 0, lane_mask(3));
+        sim.set_input_planes(i1, 0b010, 0, lane_mask(3));
+        assert!(sim.run_until_quiescent().is_quiescent());
+        // Per lane, the recorded changes of the watched net are exactly
+        // what the watch arrays counted, the last one at its time.
+        for lane in 0..3 {
+            let bit = 1u64 << lane;
+            let times: Vec<f64> = sim
+                .changes()
+                .iter()
+                .filter(|&&(net, lanes, _)| net == parity && lanes & bit != 0)
+                .map(|&(_, _, t)| t)
+                .collect();
+            assert_eq!(times.len() as u64, sim.watch_transitions(parity, lane));
+            if let Some(&last) = times.last() {
+                assert_eq!(last, sim.watch_last_change_ps(parity, lane));
+            }
+        }
+        // Inputs moved on exactly the lanes driven to a new value.
+        let lanes_of = |net| -> u64 {
+            sim.changes()
+                .iter()
+                .filter(|&&(n, _, _)| n == net)
+                .fold(0, |acc, &(_, lanes, _)| acc | lanes)
+        };
+        assert_eq!(lanes_of(i0), 0b011);
+        assert_eq!(lanes_of(i1), 0b010);
+
+        sim.clear_changes();
+        assert!(sim.changes().is_empty());
+        sim.set_input_planes(i0, 0, 0, FULL);
+        sim.set_input_planes(i1, 0, 0, FULL);
+        assert!(sim.run_until_quiescent().is_quiescent());
+        assert!(
+            !sim.changes().is_empty(),
+            "recording continues after a clear"
+        );
     }
 
     #[test]

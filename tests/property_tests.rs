@@ -1484,6 +1484,153 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------
+// The profile pass on the 64-lane engine: bit-identical profiles, and
+// the serial pass (with its typed errors) wherever the sliced one
+// cannot vouch for a train
+// ---------------------------------------------------------------------
+
+proptest! {
+    // Each case profiles 24 trains (four shapes × six lengths, up to 65
+    // tokens on the standard datapath) on both engines.
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// The 64-lane profile pass is the serial one, bit for bit: on the
+    /// (3,2), (4,2), (5,4) and standard (12,8) datapaths and for trains
+    /// of {1, 2, 16, 63, 64, 65} tokens (one partial word, one full
+    /// word, a full word plus a one-lane word), every token's per-net
+    /// rise and fall times, drain time and valid-settle time are
+    /// `to_bits`-equal to the scalar pass.  Some train holds tokens with
+    /// different valid-settle times, so the lane-group spacer drive (one
+    /// group per distinct settle time) is exercised.
+    #[test]
+    fn sliced_profile_pass_is_bit_identical_to_the_scalar_pass(seed in 0u64..10_000) {
+        use tm_async::datapath::InferenceWorkload;
+        use tm_async::dualrail::{Occupancy, PipelineConfig, PipelinedProtocolDriver, TokenProfile};
+
+        let bits = |p: &TokenProfile| {
+            let exact = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            (
+                exact(&p.rise_rel_ps),
+                exact(&p.fall_rel_ps),
+                p.drain_rel_ps.to_bits(),
+                p.settle_ps.to_bits(),
+            )
+        };
+        let library = Library::umc_ll();
+        let pipeline = PipelineConfig { occupancy: Occupancy::Max, ..PipelineConfig::default() };
+        let mut most_settle_times = 0;
+        for (features, clauses) in [(3, 2), (4, 2), (5, 4), (12, 8)] {
+            let config = DatapathConfig::new(features, clauses).expect("valid");
+            let datapath = DualRailDatapath::generate(&config).expect("generation");
+            let mut driver = PipelinedProtocolDriver::new(datapath.circuit(), &library, pipeline)
+                .expect("pipelined driver");
+            for length in [1usize, 2, 16, 63, 64, 65] {
+                let workload =
+                    InferenceWorkload::random(&config, length, 0.7, seed ^ length as u64)
+                        .expect("workload");
+                let operands = workload.dual_rail_operands(&datapath).expect("widths");
+                let scalar = driver.profile_train(&operands).expect("serial profile");
+                let sliced = driver
+                    .profile_train_sliced(&operands)
+                    .expect("a healthy train profiles on the sliced engine");
+                prop_assert_eq!(sliced.len(), length);
+                for (k, (got, want)) in sliced.iter().zip(&scalar).enumerate() {
+                    prop_assert!(
+                        bits(got) == bits(want),
+                        "({}, {}) train of {} token {}: sliced profile differs",
+                        features,
+                        clauses,
+                        length,
+                        k
+                    );
+                }
+                let mut settle: Vec<u64> = sliced.iter().map(|p| p.settle_ps.to_bits()).collect();
+                settle.sort_unstable();
+                settle.dedup();
+                most_settle_times = most_settle_times.max(settle.len());
+            }
+        }
+        prop_assert!(
+            most_settle_times > 1,
+            "no train had two distinct valid-settle times"
+        );
+    }
+
+    /// A faulted train profiles serially and fails exactly as the serial
+    /// driver does: with a stuck-at on one wire of the 1-of-3 class
+    /// output, the sliced pass declines the train and `run_train`
+    /// returns the streamed contract driver's error on the first
+    /// operand it rejects (a train the fault never touches completes
+    /// with the serial tokens).  A healthy train that trips the
+    /// watchdog in the sliced pass is re-profiled serially too, and
+    /// fails with the serial watchdog error.
+    #[test]
+    fn a_train_the_sliced_pass_declines_fails_with_the_serial_error(
+        seed in 0u64..10_000,
+        operands in 2usize..10,
+        wire in 0usize..3,
+        stuck_value: bool,
+    ) {
+        use tm_async::datapath::InferenceWorkload;
+        use tm_async::dualrail::{DualRailError, Occupancy, PipelineConfig, PipelinedProtocolDriver};
+        use tm_async::gatesim::FaultPlan;
+
+        let config = DatapathConfig::new(3, 2).expect("valid");
+        let workload = InferenceWorkload::random(&config, operands, 0.7, seed).expect("workload");
+        let datapath = DualRailDatapath::generate(&config).expect("generation");
+        let library = Library::umc_ll();
+        let operand_bits = workload.dual_rail_operands(&datapath).expect("widths");
+        let pipeline = PipelineConfig { occupancy: Occupancy::Max, ..PipelineConfig::default() };
+        let streamed_driver = |plan: Option<&FaultPlan>, horizon: Option<f64>| {
+            let mut streamed = ProtocolDriver::new(datapath.circuit(), &library).expect("driver");
+            let snapshot = streamed.quiescent_snapshot();
+            streamed.enable_reset_contract(snapshot);
+            if let Some(horizon) = horizon {
+                streamed.set_time_horizon_ps(horizon);
+            }
+            if let Some(plan) = plan {
+                streamed.set_fault_plan(plan).expect("a stuck output wire settles");
+            }
+            streamed
+        };
+
+        let class_wire = datapath.circuit().one_of_n_outputs()[0].1[wire];
+        let plan = FaultPlan::new().stuck_at(class_wire, stuck_value);
+        let mut streamed = streamed_driver(Some(&plan), None);
+        let serial: Vec<_> = operand_bits.iter().map(|op| streamed.apply_operand(op)).collect();
+        let mut pipelined = PipelinedProtocolDriver::new(datapath.circuit(), &library, pipeline)
+            .expect("pipelined driver");
+        pipelined.set_fault_plan(&plan).expect("a stuck output wire settles");
+        prop_assert!(pipelined.profile_train_sliced(&operand_bits).is_none());
+        let got = pipelined.run_train(&operand_bits);
+        match serial.iter().find_map(|r| r.as_ref().err()) {
+            Some(first) => prop_assert_eq!(got.as_ref().err(), Some(first)),
+            None => {
+                let got = got.expect("a fault no operand exercises leaves the train intact");
+                for (k, (g, e)) in got.iter().zip(&serial).enumerate() {
+                    let e = e.as_ref().expect("checked above");
+                    let mut patched = g.clone();
+                    patched.cycle_time_ps = e.cycle_time_ps;
+                    prop_assert_eq!(&patched, e, "token {}", k);
+                }
+            }
+        }
+
+        // No token settles within 100 ps: the sliced watchdog trips,
+        // and the serial pass reports the serial driver's error.
+        const TIGHT_PS: f64 = 100.0;
+        let mut streamed = streamed_driver(None, Some(TIGHT_PS));
+        let first = streamed.apply_operand(&operand_bits[0]).expect_err("100 ps is too short");
+        prop_assert_eq!(&first, &DualRailError::SimulationDiverged);
+        let mut pipelined = PipelinedProtocolDriver::new(datapath.circuit(), &library, pipeline)
+            .expect("pipelined driver");
+        pipelined.set_time_horizon_ps(TIGHT_PS);
+        prop_assert!(pipelined.profile_train_sliced(&operand_bits).is_none());
+        prop_assert_eq!(pipelined.run_train(&operand_bits).err(), Some(first));
+    }
+}
+
 /// Premature injection is a typed hazard, never a wrong vote: with the
 /// `gate_injection` test hook off, the replay pass injects each operand
 /// without waiting for the input stage to acknowledge the predecessor's
