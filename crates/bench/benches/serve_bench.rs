@@ -6,9 +6,12 @@
 //! Criterion `dualrail_service` group: the service time of the
 //! dual-rail engine behind a serving backend, at the small batches of
 //! low-load serving — one long-lived single-thread
-//! `DualRailInference` answering batches of 1, 8 and 64 on the scalar
-//! and the 64-lane sliced kernel.  The minimum of the 30 samples is the
-//! best-of-30 figure of the per-call fixed-cost table in `ROADMAP.md`.
+//! `DualRailInference` answering batches of 1, 2, 4, 8, 16 and 64 on
+//! the scalar and the 64-lane sliced kernel.  The sliced rows at and
+//! below `dualrail::ARRIVAL_MAX_LANES` run on the arrival engine, the
+//! rest on the event engine, so the sweep is where that cut is
+//! measured.  The minimum of the 30 samples is the best-of-30 figure of
+//! the per-call fixed-cost table in `ROADMAP.md`.
 //!
 //! Criterion `pipelined_train` group: the wavefront-pipelined
 //! dual-rail layer on its own — one long-lived single-thread
@@ -89,7 +92,7 @@ fn bench_dualrail_service(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("dualrail_service");
     group.sample_size(30);
-    for batch in [1, 8, 64] {
+    for batch in [1, 2, 4, 8, 16, 64] {
         let features = &workload.feature_vectors()[..batch];
         group.bench_function(format!("scalar_batch_{batch}"), |b| {
             b.iter(|| inference.run_features(masks, features).expect("scalar run"))

@@ -15,6 +15,9 @@
 //! Unlike the real proptest there is no shrinking and no persisted
 //! failure seeds: each `#[test]` runs `cases` deterministic iterations
 //! derived from a fixed seed, so failures are reproducible run to run.
+//! Setting the `TM_PROPTEST_SEED` environment variable (decimal or
+//! `0x` hex) replaces the fixed seed, so a CI job can rotate it; a
+//! failing case prints the seed and its case index to stderr.
 
 #![warn(missing_docs)]
 
@@ -46,12 +49,69 @@ impl Default for ProptestConfig {
 #[derive(Clone, Debug)]
 pub struct TestRng(StdRng);
 
+/// The seed every property starts from unless `TM_PROPTEST_SEED`
+/// overrides it.
+pub const DEFAULT_SEED: u64 = 0x70726F_70746573;
+
 impl TestRng {
     /// A fixed-seed generator; every test body starts from the same
     /// stream so failures reproduce deterministically.
     #[must_use]
     pub fn deterministic() -> Self {
-        Self(StdRng::seed_from_u64(0x70726F_70746573))
+        Self::from_seed(DEFAULT_SEED)
+    }
+
+    /// A generator seeded with `seed`.
+    #[must_use]
+    pub fn from_seed(seed: u64) -> Self {
+        Self(StdRng::seed_from_u64(seed))
+    }
+}
+
+/// The seed of this run: `TM_PROPTEST_SEED` (decimal or `0x` hex) when
+/// set, [`DEFAULT_SEED`] otherwise.
+///
+/// # Panics
+///
+/// Panics if `TM_PROPTEST_SEED` is set but is not a `u64`.
+#[must_use]
+pub fn run_seed() -> u64 {
+    match std::env::var("TM_PROPTEST_SEED") {
+        Ok(text) => parse_seed(&text).unwrap_or_else(|| {
+            panic!("TM_PROPTEST_SEED={text:?} is not a u64 (decimal or 0x hex)")
+        }),
+        Err(_) => DEFAULT_SEED,
+    }
+}
+
+fn parse_seed(text: &str) -> Option<u64> {
+    let text = text.trim();
+    match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => text.parse().ok(),
+    }
+}
+
+/// Names the failing case on stderr when a property panics while it is
+/// alive: drop it after the case body returns normally.
+#[derive(Debug)]
+pub struct CaseGuard {
+    /// The property's name.
+    pub test: &'static str,
+    /// The seed the run started from.
+    pub seed: u64,
+    /// The case index within the run.
+    pub case: u32,
+}
+
+impl Drop for CaseGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!(
+                "proptest: {} failed at case {}; rerun with TM_PROPTEST_SEED={:#x}",
+                self.test, self.case, self.seed
+            );
+        }
     }
 }
 
@@ -193,10 +253,17 @@ macro_rules! __proptest_fns {
         $(#[$meta])*
         fn $name() {
             let __config: $crate::ProptestConfig = $cfg;
-            let mut __rng = $crate::TestRng::deterministic();
+            let __seed = $crate::run_seed();
+            let mut __rng = $crate::TestRng::from_seed(__seed);
             for __case in 0..__config.cases {
+                let __guard = $crate::CaseGuard {
+                    test: stringify!($name),
+                    seed: __seed,
+                    case: __case,
+                };
                 $crate::__proptest_bind!{ __rng; $($params)* }
                 $body
+                drop(__guard);
             }
         }
         $crate::__proptest_fns!{ ($cfg) $($rest)* }
@@ -247,6 +314,14 @@ mod tests {
             prop_assert_eq!(xs.len(), 5);
             let _ = flag;
         }
+    }
+
+    #[test]
+    fn seeds_parse_as_decimal_or_hex() {
+        assert_eq!(crate::parse_seed("42"), Some(42));
+        assert_eq!(crate::parse_seed(" 0x2a "), Some(42));
+        assert_eq!(crate::parse_seed("0X2A"), Some(42));
+        assert_eq!(crate::parse_seed("forty-two"), None);
     }
 
     #[test]

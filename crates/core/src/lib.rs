@@ -75,8 +75,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod arrival;
 pub mod circuit;
 pub mod completion;
+mod decode;
 pub mod early;
 pub mod encoding;
 pub mod error;
@@ -90,6 +92,7 @@ pub mod sliced;
 pub mod timing;
 pub mod unate;
 
+pub use arrival::ARRIVAL_MAX_LANES;
 pub use circuit::{DualRailNetlist, DualRailSignal};
 pub use completion::{CompletionReport, FullCompletion, ReducedCompletion};
 pub use early::EarlyPropagationReport;

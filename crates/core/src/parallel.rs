@@ -301,6 +301,17 @@ impl<'a> ParallelProtocolDriver<'a> {
         &self.snapshot
     }
 
+    /// Idle sliced worker drivers waiting in the pool.
+    #[cfg(test)]
+    pub(crate) fn idle_sliced_workers(&self) -> usize {
+        self.pools
+            .sliced
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+    }
+
     /// Disables the per-phase monotonicity check on every worker (for
     /// ablation experiments; see
     /// [`ProtocolDriver::set_monotonicity_check`]).

@@ -118,7 +118,7 @@ use sta::ArrivalAnalysis;
 use crate::parallel::{per_operand, WorkerDriver};
 use crate::protocol::ProtocolDriver;
 use crate::sliced::SlicedProtocolDriver;
-use crate::{DualRailError, DualRailNetlist, DualRailValue, OneOfNValue, OperandResult};
+use crate::{decode, DualRailError, DualRailNetlist, DualRailValue, OperandResult};
 
 /// Slack added to window comparisons to absorb float rounding in the
 /// event times (delays accumulate in different association orders than
@@ -251,6 +251,12 @@ impl WavefrontTiming {
         let latest: Vec<f64> = (0..nl.net_count())
             .map(|i| analysis.arrival_ps(NetId::from_index(i)))
             .collect();
+        // Every pass below reads each cell's delay; query the voltage
+        // model once per cell rather than once per cell per pass.
+        let delay: Vec<f64> = nl
+            .cells()
+            .map(|(_, cell)| library.cell_delay(cell.kind(), nl.net(cell.output()).fanout().max(1)))
+            .collect();
 
         // Earliest first change after a phase edge at the primary
         // inputs; infinity = "never changes" (tie cells, nets behind
@@ -267,27 +273,22 @@ impl WavefrontTiming {
                 continue;
             }
             let out = cell.output();
-            let delay = library.cell_delay(kind, nl.net(out).fanout().max(1));
-            let to_bool = |v: Logic| match v {
-                Logic::Zero => Some(false),
-                Logic::One => Some(true),
-                Logic::Unknown => None,
-            };
-            let spacer_in: Option<Vec<bool>> =
-                inputs.iter().map(|&n| to_bool(spacer[n.index()])).collect();
-            let spacer_out = to_bool(spacer[out.index()]);
-            let best = match (spacer_in, spacer_out) {
-                (Some(base), Some(quiet)) => {
+            let delay = delay[cid.index()];
+            let known = inputs.iter().all(|&n| spacer[n.index()].is_known());
+            let best = match spacer[out.index()].to_option() {
+                Some(quiet) if known => {
                     // Exact: try every non-empty input subset (<= 5
                     // inputs in the library, so <= 31 subsets).
+                    let base = inputs.iter().enumerate().fold(0u32, |acc, (i, &n)| {
+                        acc | u32::from(spacer[n.index()].is_one()) << i
+                    });
+                    let mut flipped = [false; CellKind::MAX_INPUTS];
                     let mut best = f64::INFINITY;
                     for subset in 1u32..(1 << inputs.len()) {
-                        let flipped: Vec<bool> = base
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &b)| if subset >> i & 1 == 1 { !b } else { b })
-                            .collect();
-                        if kind.eval(&flipped, Some(quiet)) == quiet {
+                        for (i, bit) in flipped.iter_mut().enumerate().take(inputs.len()) {
+                            *bit = (base ^ subset) >> i & 1 == 1;
+                        }
+                        if kind.eval(&flipped[..inputs.len()], Some(quiet)) == quiet {
                             continue;
                         }
                         let ready = (0..inputs.len())
@@ -365,8 +366,8 @@ impl WavefrontTiming {
         // along the fastest sensitised path (min over inputs) except
         // through C-elements, which fall only once their *last* input
         // has fallen; no net can fall before it first rose.
-        let feasible = |gap: f64, deep_only: bool| -> bool {
-            let mut fall = vec![f64::INFINITY; nl.net_count()];
+        let feasible = |fall: &mut [f64], gap: f64, deep_only: bool| -> bool {
+            fall.fill(f64::INFINITY);
             for net in nl.primary_inputs() {
                 fall[net.index()] = gap;
             }
@@ -377,7 +378,6 @@ impl WavefrontTiming {
                     continue;
                 }
                 let out = cell.output();
-                let delay = library.cell_delay(cell.kind(), nl.net(out).fanout().max(1));
                 let combine = match cell.kind() {
                     CellKind::CElement2 | CellKind::CElement3 => inputs
                         .iter()
@@ -388,7 +388,7 @@ impl WavefrontTiming {
                         .map(|&n| fall[n.index()])
                         .fold(f64::INFINITY, f64::min),
                 };
-                let bound = (combine + delay).max(earliest[out.index()]);
+                let bound = (combine + delay[cid.index()]).max(earliest[out.index()]);
                 let slot = &mut fall[out.index()];
                 *slot = slot.min(bound);
             }
@@ -408,15 +408,16 @@ impl WavefrontTiming {
                 first_fall + 1e-9 >= need
             })
         };
-        let bisect = |deep_only: bool| -> f64 {
-            if feasible(0.0, deep_only) {
+        let mut fall = vec![f64::INFINITY; nl.net_count()];
+        let mut bisect = |deep_only: bool| -> f64 {
+            if feasible(&mut fall, 0.0, deep_only) {
                 return 0.0;
             }
             // The settle bound is always feasible; bisect down from it.
             let (mut lo, mut hi) = (0.0f64, analysis.max_internal_ps());
             for _ in 0..60 {
                 let mid = f64::midpoint(lo, hi);
-                if feasible(mid, deep_only) {
+                if feasible(&mut fall, mid, deep_only) {
                     hi = mid;
                 } else {
                     lo = mid;
@@ -910,65 +911,8 @@ fn assemble_token(
         }
     };
 
-    let mut outputs = Vec::new();
-    for (name, signal) in circuit.dual_outputs() {
-        let value = DualRailValue::decode(
-            level(signal.positive),
-            level(signal.negative),
-            signal.polarity,
-        );
-        match value {
-            DualRailValue::Valid(bit) => outputs.push(bit),
-            DualRailValue::Forbidden => {
-                return Err(DualRailError::IllegalCodeword {
-                    output: name.clone(),
-                    description: "both rails are active when a valid codeword was expected"
-                        .to_string(),
-                })
-            }
-            other => {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!(
-                        "output {name:?} is {other:?} when a valid codeword was expected"
-                    ),
-                })
-            }
-        }
-    }
-    let mut one_of_n = Vec::new();
-    for (name, wires) in circuit.one_of_n_outputs() {
-        let values: Vec<Logic> = wires.iter().map(|&w| level(w)).collect();
-        match OneOfNValue::decode(&values) {
-            OneOfNValue::Valid(index) => one_of_n.push((name.clone(), index)),
-            OneOfNValue::Forbidden => {
-                return Err(DualRailError::IllegalCodeword {
-                    output: name.clone(),
-                    description:
-                        "more than one 1-of-n wire is active when a valid codeword was expected"
-                            .to_string(),
-                })
-            }
-            other => {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!(
-                        "1-of-n output {name:?} is {other:?} when a valid codeword was expected"
-                    ),
-                })
-            }
-        }
-    }
-    let probes = circuit
-        .probes()
-        .iter()
-        .map(|(name, signal)| {
-            let value = DualRailValue::decode(
-                level(signal.positive),
-                level(signal.negative),
-                signal.polarity,
-            );
-            (name.clone(), value)
-        })
-        .collect();
+    let (outputs, one_of_n) = decode::decode_outputs(circuit, level)?;
+    let probes = decode::decode_probes(circuit, level);
 
     let mut s_to_v = 0.0f64;
     let mut v_to_s = 0.0f64;
@@ -1317,7 +1261,7 @@ fn profile_word(
     take_changes(profiler.sim_mut(), &mut profiles, Phase::Valid)?;
     let sim = profiler.sim();
     for (lane, profile) in profiles.iter_mut().enumerate() {
-        profiler.decode_outputs_lane(lane).ok()?;
+        decode::decode_outputs(profiler.circuit(), profiler.lane_reader(lane)).ok()?;
         if done.is_some_and(|done| !sim.value(done, lane).is_one()) {
             return None;
         }
@@ -1352,7 +1296,7 @@ fn profile_word(
     take_changes(profiler.sim_mut(), &mut profiles, Phase::Spacer)?;
     let sim = profiler.sim();
     for lane in 0..word.len() {
-        profiler.check_outputs_at_spacer_lane(lane).ok()?;
+        decode::check_outputs_at_spacer(profiler.circuit(), profiler.lane_reader(lane)).ok()?;
         if done.is_some_and(|done| !sim.value(done, lane).is_zero()) {
             return None;
         }
@@ -1725,7 +1669,7 @@ impl<'a> PipelinedProtocolDriver<'a> {
 
         // Train-end state audit: the circuit must be back in the
         // canonical spacer state with `done` low.
-        self.inner.check_outputs_at_spacer()?;
+        decode::check_outputs_at_spacer(self.inner.circuit(), self.inner.reader())?;
         if let Some(done) = done_net {
             if !self.inner.sim().value(done).is_zero() {
                 return Err(DualRailError::ProtocolViolation {
@@ -1973,7 +1917,7 @@ impl<'a> PipelinedProtocolDriver<'a> {
         if !self.inner.sim_mut().run_until_quiescent().is_quiescent() {
             return Err(DualRailError::SimulationDiverged);
         }
-        self.inner.decode_outputs()?;
+        decode::decode_outputs(self.inner.circuit(), self.inner.reader())?;
         if let Some(done) = circuit.done() {
             if !self.inner.sim().value(done).is_one() {
                 return Err(DualRailError::ProtocolViolation {
@@ -2002,7 +1946,7 @@ impl<'a> PipelinedProtocolDriver<'a> {
         if !self.inner.sim_mut().run_until_quiescent().is_quiescent() {
             return Err(DualRailError::SimulationDiverged);
         }
-        self.inner.check_outputs_at_spacer()?;
+        decode::check_outputs_at_spacer(self.inner.circuit(), self.inner.reader())?;
         if let Some(done) = circuit.done() {
             if !self.inner.sim().value(done).is_zero() {
                 return Err(DualRailError::ProtocolViolation {
@@ -2414,7 +2358,7 @@ impl<'a> SlicedPipelinedProtocolDriver<'a> {
 
         // Train-end state audit, lane by lane.
         for lane in 0..lanes_used {
-            self.inner.check_outputs_at_spacer_lane(lane)?;
+            decode::check_outputs_at_spacer(self.inner.circuit(), self.inner.lane_reader(lane))?;
             if let Some(done) = done_net {
                 if !self.inner.sim().value(done, lane).is_zero() {
                     return Err(DualRailError::ProtocolViolation {

@@ -44,18 +44,32 @@ use netlist::NetId;
 use sta::GracePeriod;
 
 use crate::parallel::WorkerDriver;
-use crate::{DualRailError, DualRailNetlist, DualRailValue, OneOfNValue};
-
-/// Decoded primary outputs of one protocol cycle: the dual-rail output
-/// bits in declaration order, plus each 1-of-n group's name and active
-/// index.
-pub(crate) type DecodedOutputs = (Vec<bool>, Vec<(String, usize)>);
+use crate::{decode, DualRailError, DualRailNetlist, DualRailValue};
 
 /// Rounds a picosecond duration to the whole-ps integer the histogram
 /// instruments record (phase durations are non-negative by protocol).
 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-pub(crate) fn whole_ps(ps: f64) -> u64 {
+fn whole_ps(ps: f64) -> u64 {
     ps.round().max(0.0) as u64
+}
+
+/// Records one successful cycle on the protocol counters.  Every driver
+/// and the arrival path record through here, so the counters read the
+/// same whichever engine ran the operand.
+pub(crate) fn record_cycle(
+    metrics: Option<&tm_obs::ProtocolMetrics>,
+    s_to_v_ps: f64,
+    v_to_s_ps: f64,
+    spacer_verified: bool,
+) {
+    if let Some(metrics) = metrics {
+        metrics.cycles.inc();
+        metrics.spacer_to_valid_ps.record(whole_ps(s_to_v_ps));
+        metrics.valid_to_spacer_ps.record(whole_ps(v_to_s_ps));
+        if spacer_verified {
+            metrics.spacer_verify_passes.inc();
+        }
+    }
 }
 
 /// Measurements and decoded results for one operand (one full
@@ -475,85 +489,9 @@ impl<'a> ProtocolDriver<'a> {
         }
     }
 
-    pub(crate) fn decode_outputs(&self) -> Result<DecodedOutputs, DualRailError> {
-        let mut outputs = Vec::new();
-        for (name, signal) in self.circuit.dual_outputs() {
-            let value = DualRailValue::decode(
-                self.sim.value(signal.positive),
-                self.sim.value(signal.negative),
-                signal.polarity,
-            );
-            match value {
-                DualRailValue::Valid(bit) => outputs.push(bit),
-                DualRailValue::Forbidden => {
-                    return Err(DualRailError::IllegalCodeword {
-                        output: name.clone(),
-                        description: "both rails are active when a valid codeword was expected"
-                            .to_string(),
-                    })
-                }
-                other => {
-                    return Err(DualRailError::ProtocolViolation {
-                        description: format!(
-                            "output {name:?} is {other:?} when a valid codeword was expected"
-                        ),
-                    })
-                }
-            }
-        }
-        let mut groups = Vec::new();
-        for (name, wires) in self.circuit.one_of_n_outputs() {
-            let values: Vec<Logic> = wires.iter().map(|&w| self.sim.value(w)).collect();
-            match OneOfNValue::decode(&values) {
-                OneOfNValue::Valid(index) => groups.push((name.clone(), index)),
-                OneOfNValue::Forbidden => {
-                    return Err(DualRailError::IllegalCodeword {
-                        output: name.clone(),
-                        description:
-                            "more than one 1-of-n wire is active when a valid codeword was expected"
-                                .to_string(),
-                    })
-                }
-                other => {
-                    return Err(DualRailError::ProtocolViolation {
-                        description: format!(
-                            "1-of-n output {name:?} is {other:?} when a valid codeword was expected"
-                        ),
-                    })
-                }
-            }
-        }
-        Ok((outputs, groups))
-    }
-
-    pub(crate) fn check_outputs_at_spacer(&self) -> Result<(), DualRailError> {
-        for (name, signal) in self.circuit.dual_outputs() {
-            let value = DualRailValue::decode(
-                self.sim.value(signal.positive),
-                self.sim.value(signal.negative),
-                signal.polarity,
-            );
-            if value == DualRailValue::Forbidden {
-                return Err(DualRailError::IllegalCodeword {
-                    output: name.clone(),
-                    description: "both rails are active after the spacer phase".to_string(),
-                });
-            }
-            if value != DualRailValue::Spacer {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!("output {name:?} is {value:?} after the spacer phase"),
-                });
-            }
-        }
-        for (name, wires) in self.circuit.one_of_n_outputs() {
-            let values: Vec<Logic> = wires.iter().map(|&w| self.sim.value(w)).collect();
-            if OneOfNValue::decode(&values) != OneOfNValue::Spacer {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!("1-of-n output {name:?} did not return to spacer"),
-                });
-            }
-        }
-        Ok(())
+    /// Reads the simulator's current net values, for [`crate::decode`].
+    pub(crate) fn reader(&self) -> impl Fn(NetId) -> Logic + '_ {
+        |net| self.sim.value(net)
     }
 
     /// Elapsed time from `since_ps` to the latest change any of `nets`
@@ -649,8 +587,8 @@ impl<'a> ProtocolDriver<'a> {
         if !self.sim.run_until_quiescent().is_quiescent() {
             return Err(DualRailError::SimulationDiverged);
         }
-        let (outputs, one_of_n) = self.decode_outputs()?;
-        let probes = self.decode_probes();
+        let (outputs, one_of_n) = decode::decode_outputs(self.circuit, self.reader())?;
+        let probes = decode::decode_probes(self.circuit, self.reader());
         let s_to_v_latency_ps = self.latest_change_since(&observed, t0).unwrap_or(0.0);
         // `done` must have *moved* this cycle to count: a `done` net
         // that was already high before `t0` (stale from an earlier
@@ -692,7 +630,7 @@ impl<'a> ProtocolDriver<'a> {
         if !self.sim.run_until_quiescent().is_quiescent() {
             return Err(DualRailError::SimulationDiverged);
         }
-        self.check_outputs_at_spacer()?;
+        decode::check_outputs_at_spacer(self.circuit, self.reader())?;
         if let Some(done) = self.circuit.done() {
             if !self.sim.value(done).is_zero() {
                 return Err(DualRailError::ProtocolViolation {
@@ -713,18 +651,12 @@ impl<'a> ProtocolDriver<'a> {
         } else {
             self.sim.now_ps() - t0
         };
-        if let Some(metrics) = self.metrics.as_deref() {
-            metrics.cycles.inc();
-            metrics
-                .spacer_to_valid_ps
-                .record(whole_ps(s_to_v_latency_ps));
-            metrics
-                .valid_to_spacer_ps
-                .record(whole_ps(v_to_s_latency_ps));
-            if self.reset_contract.is_some() {
-                metrics.spacer_verify_passes.inc();
-            }
-        }
+        record_cycle(
+            self.metrics.as_deref(),
+            s_to_v_latency_ps,
+            v_to_s_latency_ps,
+            self.reset_contract.is_some(),
+        );
         Ok(OperandResult {
             outputs,
             one_of_n,
@@ -734,24 +666,6 @@ impl<'a> ProtocolDriver<'a> {
             cycle_time_ps,
             probes,
         })
-    }
-
-    /// Decodes every declared probe signal at the current (settled
-    /// valid) state.  Probes carry no protocol obligations, so any
-    /// codeword — including spacer and forbidden — is recorded as-is.
-    pub(crate) fn decode_probes(&self) -> Vec<(String, DualRailValue)> {
-        self.circuit
-            .probes()
-            .iter()
-            .map(|(name, signal)| {
-                let value = DualRailValue::decode(
-                    self.sim.value(signal.positive),
-                    self.sim.value(signal.negative),
-                    signal.polarity,
-                );
-                (name.clone(), value)
-            })
-            .collect()
     }
 
     /// Convenience helper: applies every operand in `workload` and

@@ -32,21 +32,31 @@
 //! reporting each lane's **first** failure.  Divergence (oscillation
 //! past the event limit) is the one word-global failure mode: lanes
 //! share the event budget, so a runaway lane aborts the whole word.
+//!
+//! # Short words
+//!
+//! As a sharded worker the driver does not always run its word on the
+//! event engine.  A word of at most [`crate::ARRIVAL_MAX_LANES`]
+//! operands goes one lane at a time through a lazily built
+//! [`gatesim::ArrivalSim`], the queue-free arrival pass, which is
+//! bit-exact to the event engine and much cheaper than a mostly empty
+//! 64-lane word.  When the pass declines, or any lane fails a check,
+//! the whole word reruns on [`SlicedProtocolDriver::apply_word`], so
+//! results and errors are always the event engine's.  `apply_word`
+//! itself always runs the event engine.
 
 use std::sync::Arc;
 
 use gatesim::{lane_mask, Logic, SlicedSimulator};
 use netlist::{NetId, LANES};
 
+use crate::arrival::{ArrivalSlot, ARRIVAL_MAX_LANES};
+use crate::decode::{self, DecodedOutputs};
 use crate::parallel::WorkerDriver;
-use crate::protocol::ProtocolDriver;
-use crate::{DualRailError, DualRailNetlist, DualRailValue, OneOfNValue, OperandResult};
+use crate::protocol::{record_cycle, ProtocolDriver};
+use crate::{DualRailError, DualRailNetlist, DualRailValue, OperandResult};
 
 const FULL: u64 = !0u64;
-
-/// One lane's decoded outputs: the dual-rail output bits plus the
-/// decoded 1-of-n group selections.
-type DecodedOutputs = (Vec<bool>, Vec<(String, usize)>);
 
 /// Drives a dual-rail netlist through four-phase cycles 64 operand
 /// lanes at a time.  See the [module documentation](self) for the
@@ -67,6 +77,8 @@ pub struct SlicedProtocolDriver<'a> {
     /// Protocol-level instrument set; `None` (the default) keeps the
     /// word loop free of metrics work.
     metrics: Option<Box<tm_obs::ProtocolMetrics>>,
+    /// The arrival engine serving short words, built on the first one.
+    pub(crate) arrival: ArrivalSlot<'a>,
 }
 
 impl<'a> SlicedProtocolDriver<'a> {
@@ -110,6 +122,7 @@ impl<'a> SlicedProtocolDriver<'a> {
             observed,
             req,
             metrics: None,
+            arrival: ArrivalSlot::default(),
         };
         let mut watched = driver.observed.clone();
         if let Some(done) = circuit.done() {
@@ -305,100 +318,9 @@ impl<'a> SlicedProtocolDriver<'a> {
         }
     }
 
-    pub(crate) fn decode_outputs_lane(&self, lane: usize) -> Result<DecodedOutputs, DualRailError> {
-        let mut outputs = Vec::new();
-        for (name, signal) in self.circuit.dual_outputs() {
-            let value = DualRailValue::decode(
-                self.sim.value(signal.positive, lane),
-                self.sim.value(signal.negative, lane),
-                signal.polarity,
-            );
-            match value {
-                DualRailValue::Valid(bit) => outputs.push(bit),
-                DualRailValue::Forbidden => {
-                    return Err(DualRailError::IllegalCodeword {
-                        output: name.clone(),
-                        description: "both rails are active when a valid codeword was expected"
-                            .to_string(),
-                    })
-                }
-                other => {
-                    return Err(DualRailError::ProtocolViolation {
-                        description: format!(
-                            "output {name:?} is {other:?} when a valid codeword was expected"
-                        ),
-                    })
-                }
-            }
-        }
-        let mut groups = Vec::new();
-        for (name, wires) in self.circuit.one_of_n_outputs() {
-            let values: Vec<Logic> = wires.iter().map(|&w| self.sim.value(w, lane)).collect();
-            match OneOfNValue::decode(&values) {
-                OneOfNValue::Valid(index) => groups.push((name.clone(), index)),
-                OneOfNValue::Forbidden => {
-                    return Err(DualRailError::IllegalCodeword {
-                        output: name.clone(),
-                        description:
-                            "more than one 1-of-n wire is active when a valid codeword was expected"
-                                .to_string(),
-                    })
-                }
-                other => {
-                    return Err(DualRailError::ProtocolViolation {
-                        description: format!(
-                            "1-of-n output {name:?} is {other:?} when a valid codeword was expected"
-                        ),
-                    })
-                }
-            }
-        }
-        Ok((outputs, groups))
-    }
-
-    pub(crate) fn check_outputs_at_spacer_lane(&self, lane: usize) -> Result<(), DualRailError> {
-        for (name, signal) in self.circuit.dual_outputs() {
-            let value = DualRailValue::decode(
-                self.sim.value(signal.positive, lane),
-                self.sim.value(signal.negative, lane),
-                signal.polarity,
-            );
-            if value == DualRailValue::Forbidden {
-                return Err(DualRailError::IllegalCodeword {
-                    output: name.clone(),
-                    description: "both rails are active after the spacer phase".to_string(),
-                });
-            }
-            if value != DualRailValue::Spacer {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!("output {name:?} is {value:?} after the spacer phase"),
-                });
-            }
-        }
-        for (name, wires) in self.circuit.one_of_n_outputs() {
-            let values: Vec<Logic> = wires.iter().map(|&w| self.sim.value(w, lane)).collect();
-            if OneOfNValue::decode(&values) != OneOfNValue::Spacer {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!("1-of-n output {name:?} did not return to spacer"),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn decode_probes_lane(&self, lane: usize) -> Vec<(String, DualRailValue)> {
-        self.circuit
-            .probes()
-            .iter()
-            .map(|(name, signal)| {
-                let value = DualRailValue::decode(
-                    self.sim.value(signal.positive, lane),
-                    self.sim.value(signal.negative, lane),
-                    signal.polarity,
-                );
-                (name.clone(), value)
-            })
-            .collect()
+    /// Reads `lane`'s current net values, for [`crate::decode`].
+    pub(crate) fn lane_reader(&self, lane: usize) -> impl Fn(NetId) -> Logic + '_ {
+        move |net| self.sim.value(net, lane)
     }
 
     /// Latest change any of `nets` made on `lane` during the current
@@ -511,14 +433,14 @@ impl<'a> SlicedProtocolDriver<'a> {
             if errors[lane].is_some() {
                 continue;
             }
-            match self.decode_outputs_lane(lane) {
+            match decode::decode_outputs(self.circuit, self.lane_reader(lane)) {
                 Ok(d) => decoded[lane] = Some(d),
                 Err(e) => {
                     errors[lane] = Some(e);
                     continue;
                 }
             }
-            probes[lane] = Some(self.decode_probes_lane(lane));
+            probes[lane] = Some(decode::decode_probes(self.circuit, self.lane_reader(lane)));
             s_to_v[lane] = self
                 .latest_watched_change(&self.observed, lane)
                 .unwrap_or(0.0);
@@ -556,7 +478,7 @@ impl<'a> SlicedProtocolDriver<'a> {
             if errors[lane].is_some() {
                 continue;
             }
-            if let Err(e) = self.check_outputs_at_spacer_lane(lane) {
+            if let Err(e) = decode::check_outputs_at_spacer(self.circuit, self.lane_reader(lane)) {
                 errors[lane] = Some(e);
                 continue;
             }
@@ -613,19 +535,10 @@ impl<'a> SlicedProtocolDriver<'a> {
                 Some(error) => Err(error),
                 None => {
                     let (outputs, one_of_n) = decoded[lane].take().expect("decoded on success");
-                    if let Some(metrics) = self.metrics.as_deref() {
-                        metrics.cycles.inc();
-                        metrics
-                            .spacer_to_valid_ps
-                            .record(crate::protocol::whole_ps(s_to_v[lane]));
-                        metrics
-                            .valid_to_spacer_ps
-                            .record(crate::protocol::whole_ps(v_to_s[lane]));
-                        // The reset-phase contract is mandatory for
-                        // word drivers; reaching here means this lane
-                        // passed its spacer-state verification.
-                        metrics.spacer_verify_passes.inc();
-                    }
+                    // The reset-phase contract is mandatory for word
+                    // drivers; reaching here means this lane passed its
+                    // spacer-state verification.
+                    record_cycle(self.metrics.as_deref(), s_to_v[lane], v_to_s[lane], true);
                     Ok(OperandResult {
                         outputs,
                         one_of_n,
@@ -639,12 +552,51 @@ impl<'a> SlicedProtocolDriver<'a> {
             })
             .collect()
     }
+
+    /// Serves a short word on the arrival engine, or returns `None` when
+    /// the pass declines and the word must run on [`Self::apply_word`].
+    /// Kept out of line so the arrival code stays out of the event
+    /// loop's code placement.
+    #[inline(never)]
+    fn run_short_word(
+        &mut self,
+        word: &[Vec<bool>],
+    ) -> Option<Vec<Result<OperandResult, DualRailError>>> {
+        let mut slot = std::mem::take(&mut self.arrival);
+        let results = slot.run_word(self, word);
+        self.arrival = slot;
+        let results = results?;
+        for r in &results {
+            record_cycle(
+                self.metrics.as_deref(),
+                r.s_to_v_latency_ps,
+                r.v_to_s_latency_ps,
+                true,
+            );
+        }
+        Some(results.into_iter().map(Ok).collect())
+    }
+
+    /// The observed output nets whose changes define the latencies.
+    pub(crate) fn observed(&self) -> &[NetId] {
+        &self.observed
+    }
+
+    /// The `req` primary input, when the circuit has one.
+    pub(crate) fn request(&self) -> Option<NetId> {
+        self.req
+    }
 }
 
 impl<'a> WorkerDriver<'a> for SlicedProtocolDriver<'a> {
     type Replica = SlicedSimulator<'a>;
 
     fn run_chunk(&mut self, word: &[Vec<bool>]) -> Vec<Result<OperandResult, DualRailError>> {
+        if word.len() <= ARRIVAL_MAX_LANES {
+            if let Some(results) = self.run_short_word(word) {
+                return results;
+            }
+        }
         self.apply_word(word)
     }
 
@@ -679,7 +631,7 @@ pub fn rebased_reference_driver<'a>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::parallel::tests::{and_or_circuit, workload};
     use crate::ParallelProtocolDriver;
@@ -707,7 +659,10 @@ mod tests {
             .collect()
     }
 
-    fn word_driver<'a>(dr: &'a DualRailNetlist, lib: &Library) -> SlicedProtocolDriver<'a> {
+    pub(crate) fn word_driver<'a>(
+        dr: &'a DualRailNetlist,
+        lib: &Library,
+    ) -> SlicedProtocolDriver<'a> {
         let program = Arc::new(EngineProgram::new(dr.netlist(), lib));
         let reference = ProtocolDriver::from_program(dr, Arc::clone(&program)).unwrap();
         let snapshot = reference.quiescent_snapshot();

@@ -36,6 +36,15 @@
 //! event counts bit-identical to the scalar engine (see the
 //! [`sliced`] module).
 //!
+//! [`ArrivalSim`] drops the queue altogether for monotone protocol
+//! phases: from a settled two-valued state it runs one phase as a
+//! single topological pass over the same program, reporting per net
+//! the value, transition count and last change, plus the phase clock,
+//! bit-identical to [`Simulator`] — or it declines with an
+//! [`ArrivalDecline`] (an `X`, a flip-flop, a cycle, a net switching
+//! twice, an order-dependent same-timestamp tie) and the caller reruns
+//! on the event engine (see the [`arrival`] module).
+//!
 //! # Example
 //!
 //! ```
@@ -61,6 +70,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod arrival;
 pub mod engine;
 pub mod event;
 pub mod fault;
@@ -71,6 +81,7 @@ pub mod sliced;
 pub mod testbench;
 pub mod value;
 
+pub use arrival::{ArrivalDecline, ArrivalSim};
 pub use engine::{RunOutcome, Simulator, StepOutcome};
 pub use event::{Event, EventQueue, SimEvent};
 pub use fault::{FaultPlan, SettleError, SettlePhase, SeuPulse};

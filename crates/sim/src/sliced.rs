@@ -585,6 +585,27 @@ impl<'a> SlicedSimulator<'a> {
         self.faults = Some(Box::new(overlay));
     }
 
+    /// Whether a non-empty [`FaultPlan`] is installed.
+    #[must_use]
+    pub fn has_fault_plan(&self) -> bool {
+        self.faults.is_some()
+    }
+
+    /// Whether a wave probe or the change recorder is attached.
+    #[must_use]
+    pub fn has_observers(&self) -> bool {
+        self.observers
+            .as_deref()
+            .is_some_and(|o| o.wave.is_some() || o.changes.is_some())
+    }
+
+    /// The watchdog time horizon ([`SlicedSimulator::set_time_horizon_ps`];
+    /// `f64::INFINITY` when unbounded).
+    #[must_use]
+    pub fn time_horizon_ps(&self) -> f64 {
+        self.horizon_ps
+    }
+
     /// Raw `(value, unknown)` bit-planes of `net` — one bit per lane.
     /// Cheap bulk read for observers that diff all 64 lanes at once.
     #[must_use]

@@ -1737,3 +1737,191 @@ fn watchdog_horizon_bounds_a_faulted_pipelined_settle() {
         Err(DualRailError::SimulationDiverged)
     ));
 }
+
+// ---------------------------------------------------------------------
+// The arrival-time engine: one topological pass per protocol phase,
+// bit-exact to the event engines or declined
+// ---------------------------------------------------------------------
+
+/// The dual-rail shapes the arrival properties cover, up to the
+/// standard 2410-cell datapath.
+const ARRIVAL_SHAPES: [(usize, usize); 4] = [(3, 2), (4, 2), (5, 4), (12, 8)];
+
+/// The protocol stimulus of one phase: `req` plus every dual-rail input
+/// rail, at the valid codeword of `bits` or at the spacer.
+fn phase_stimulus(
+    dr: &DualRailNetlist,
+    bits: Option<&[bool]>,
+) -> Vec<(NetId, tm_async::gatesim::Logic)> {
+    use tm_async::gatesim::Logic;
+    let nl = dr.netlist();
+    let mut stimulus: Vec<_> = nl
+        .find_net("req")
+        .filter(|&n| nl.is_primary_input(n))
+        .map(|req| (req, Logic::from(bits.is_some())))
+        .into_iter()
+        .collect();
+    for (i, (_, signal)) in dr.dual_inputs().iter().enumerate() {
+        let (p, n) = match bits {
+            Some(bits) => DualRailValue::encode_valid(bits[i], signal.polarity),
+            None => DualRailValue::encode_spacer(signal.polarity),
+        };
+        stimulus.push((signal.positive, Logic::from(p)));
+        stimulus.push((signal.negative, Logic::from(n)));
+    }
+    stimulus
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The oracle property: from the settled spacer state, both phases
+    /// of every operand agree net for net with the scalar event engine
+    /// in a rebased frame — value, transition count and last change
+    /// (`to_bits`) — and the phase clock agrees with the engine's
+    /// `now_ps`, no-op applies included.
+    #[test]
+    fn arrival_pass_matches_the_event_engine_net_for_net(
+        shape in 0usize..4,
+        seed in 0u64..10_000,
+        operands in 1usize..4,
+    ) {
+        use std::sync::Arc;
+        use tm_async::datapath::InferenceWorkload;
+        use tm_async::gatesim::{ArrivalSim, EngineProgram, Simulator};
+
+        let (features, clauses) = ARRIVAL_SHAPES[shape];
+        let config = DatapathConfig::new(features, clauses).expect("valid");
+        let workload = InferenceWorkload::random(&config, operands, 0.6, seed).expect("workload");
+        let datapath = DualRailDatapath::generate(&config).expect("generation");
+        let dr = datapath.circuit();
+        let library = Library::umc_ll();
+        let program = Arc::new(EngineProgram::new(dr.netlist(), &library));
+
+        let mut events = Simulator::from_program(Arc::clone(&program));
+        for (net, value) in phase_stimulus(dr, None) {
+            events.set_input(net, value);
+        }
+        prop_assert!(events.run_until_quiescent().is_quiescent());
+        let mut arrival = ArrivalSim::new(program).expect("the datapath has an arrival form");
+        arrival.load_state(events.net_values()).expect("the settled spacer is two-valued");
+
+        for features in workload.feature_vectors() {
+            let bits = datapath.operand_bits(features, workload.masks()).expect("operand");
+            for phase in [Some(bits.as_slice()), None] {
+                let stimulus = phase_stimulus(dr, phase);
+                events.clear_activity();
+                events.reset_time();
+                for &(net, value) in &stimulus {
+                    events.set_input(net, value);
+                }
+                prop_assert!(events.run_until_quiescent().is_quiescent());
+                prop_assert_eq!(arrival.run_phase(&stimulus), Ok(()));
+                for n in 0..dr.netlist().net_count() {
+                    let net = NetId::from_index(n);
+                    prop_assert_eq!(arrival.value(net), events.value(net), "net {}", n);
+                    prop_assert_eq!(arrival.transitions(net), events.net_transitions(net));
+                    if arrival.transitions(net) > 0 {
+                        prop_assert_eq!(
+                            arrival.last_change_ps(net).map(f64::to_bits),
+                            events.last_change_ps(net).map(f64::to_bits),
+                            "net {}", n
+                        );
+                    }
+                }
+                prop_assert_eq!(arrival.now_ps().to_bits(), events.now_ps().to_bits());
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The routing property: `run_workload_sliced` serves words of at
+    /// most `ARRIVAL_MAX_LANES` operands on the arrival engine and the
+    /// rest on the event engine, and either way every `OperandResult`
+    /// field is `to_bits`-equal to the phase-rebased streamed reference
+    /// at every word length around the cut and at threads {1, 2, 7}.
+    #[test]
+    fn sliced_runs_match_the_rebased_reference_at_every_word_length(
+        shape in 0usize..2,
+        seed in 0u64..10_000,
+    ) {
+        use std::sync::Arc;
+        use tm_async::datapath::InferenceWorkload;
+        use tm_async::dualrail::{
+            rebased_reference_driver, ParallelProtocolDriver, ARRIVAL_MAX_LANES,
+        };
+        use tm_async::gatesim::{EngineProgram, Simulator};
+
+        let (features, clauses) = ARRIVAL_SHAPES[shape];
+        let config = DatapathConfig::new(features, clauses).expect("valid");
+        let workload = InferenceWorkload::random(&config, 65, 0.6, seed).expect("workload");
+        let datapath = DualRailDatapath::generate(&config).expect("generation");
+        let dr = datapath.circuit();
+        let operands: Vec<Vec<bool>> = workload
+            .feature_vectors()
+            .iter()
+            .map(|f| datapath.operand_bits(f, workload.masks()).expect("operand"))
+            .collect();
+        let library = Library::umc_ll();
+        let program = Arc::new(EngineProgram::new(dr.netlist(), &library));
+        let snapshot = ProtocolDriver::from_program(dr, Arc::clone(&program))
+            .expect("reference")
+            .quiescent_snapshot();
+        let mut reference = rebased_reference_driver(
+            dr,
+            Simulator::from_program(program),
+            snapshot,
+            true,
+        )
+        .expect("reference");
+        let expected = result_bits(
+            &operands
+                .iter()
+                .map(|op| reference.apply_operand(op).expect("reference cycle"))
+                .collect::<Vec<_>>(),
+        );
+
+        for threads in [1usize, 2, 7] {
+            let driver = ParallelProtocolDriver::new(dr, &library, threads).expect("driver");
+            for len in [1, 2, ARRIVAL_MAX_LANES, ARRIVAL_MAX_LANES + 1, 64, 65] {
+                let run = driver.run_workload_sliced(&operands[..len]).expect("sliced run");
+                prop_assert_eq!(
+                    result_bits(&run.results),
+                    expected[..len].to_vec(),
+                    "threads {} length {}", threads, len
+                );
+            }
+        }
+    }
+
+    /// Word routing keeps the metrics contract: a workload whose words
+    /// run on both engines (a full word, then a short tail) reduces to
+    /// the same snapshot at threads {1, 2, 7}, with protocol cycles
+    /// counted for every operand on either engine.
+    #[test]
+    fn routed_sliced_metrics_are_thread_count_invariant(seed in 0u64..10_000) {
+        use std::sync::Arc;
+        use tm_async::datapath::{DualRailInference, InferenceWorkload};
+        use tm_async::obs::MetricsRegistry;
+
+        let config = DatapathConfig::new(3, 2).expect("valid");
+        let workload = InferenceWorkload::random(&config, 67, 0.6, seed).expect("workload");
+        let datapath = DualRailDatapath::generate(&config).expect("generation");
+        let library = Library::umc_ll();
+        let mut snapshots = Vec::new();
+        for threads in [1usize, 2, 7] {
+            let registry = Arc::new(MetricsRegistry::new());
+            let mut dual = DualRailInference::new(&datapath, &library, threads).expect("driver");
+            dual.set_metrics(&registry, "dr");
+            dual.run_workload_sliced(&workload).expect("sliced run");
+            let snapshot = registry.snapshot();
+            prop_assert_eq!(snapshot.counter("dr.sliced.protocol.cycles"), 67);
+            snapshots.push(snapshot);
+        }
+        prop_assert_eq!(&snapshots[0], &snapshots[1], "threads 1 vs 2");
+        prop_assert_eq!(&snapshots[0], &snapshots[2], "threads 1 vs 7");
+    }
+}
