@@ -14,8 +14,10 @@
 //! bit-identical to the streamed contract driver, if an overlapped run
 //! differs from it in any result field but the cycle time, if two
 //! pipelined runs of the same train differ (the replay must be
-//! deterministic), or if the pipelined cycle time fails to beat the
-//! unpipelined cycle time measured in the same run.
+//! deterministic), if the pipelined cycle time fails to beat the
+//! unpipelined cycle time measured in the same run, or if the measured
+//! occupancy — the most tokens a schedule held in flight at once — is
+//! not 1 at `One`, exactly 2 at `Two` and at least 2 at `Max`.
 
 use celllib::Library;
 use datapath::{DualRailDatapath, DualRailInference, InferenceWorkload};
@@ -67,14 +69,19 @@ fn main() {
         occupancy: Occupancy::One,
         ..PipelineConfig::default()
     };
-    let (run1, _) = sim
+    let (run1, report1) = sim
         .run_workload_pipelined(&workload, serial_config)
         .expect("occupancy-1 run");
     assert_eq!(
         run1.results, expected,
         "occupancy-1 pipelined results diverged from the streamed driver"
     );
-    println!("occupancy 1: {operands} tokens bit-identical to the streamed contract driver");
+    assert_eq!(report1.occupancy, 1, "a serial schedule overlapped tokens");
+    println!(
+        "One: {operands} tokens bit-identical to the streamed contract driver; \
+         measured occupancy {}",
+        report1.occupancy
+    );
 
     // Overlapped runs: golden-verified outcomes, every result field but
     // the cycle time equal to the streamed driver's, cycle time strictly
@@ -116,16 +123,27 @@ fn main() {
             run.results, replay.results,
             "{occupancy:?} replay is not deterministic"
         );
+        let in_flight = match occupancy {
+            Occupancy::Two => report.occupancy == 2,
+            _ => report.occupancy >= 2,
+        };
+        assert!(
+            in_flight,
+            "{occupancy:?} schedule held {} tokens in flight at most",
+            report.occupancy
+        );
         println!(
             "{occupancy:?}: {} tokens golden-verified; cycle median {:.1} ps vs serial \
-             {:.1} ps ({:.2}x); {:.0} tokens/s simulated; replay deterministic",
+             {:.1} ps ({:.2}x); {:.0} tokens/s simulated; replay deterministic; \
+             measured occupancy {}",
             report.tokens,
             pipelined_median,
             serial_median,
             serial_median / pipelined_median,
-            report.tokens_per_sec()
+            report.tokens_per_sec(),
+            report.occupancy
         );
     }
 
-    println!("\nok: pipelined outcomes golden-verified, occupancy-1 bit-identical, replay deterministic, cycle time below serial");
+    println!("\nok: pipelined outcomes golden-verified, occupancy-1 bit-identical, replay deterministic, cycle time below serial, measured occupancy 1 / 2 / >= 2");
 }

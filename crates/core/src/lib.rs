@@ -100,10 +100,7 @@ pub use encoding::{DualRailValue, OneOfNValue, SpacerPolarity};
 pub use error::DualRailError;
 pub use expand::{expand_to_dual_rail, ExpansionStyle};
 pub use parallel::{ParallelProtocolDriver, ParallelProtocolRun};
-pub use pipeline::{
-    Occupancy, PipelineConfig, PipelinedProtocolDriver, SlicedPipelinedProtocolDriver,
-    TokenProfile, WavefrontTiming,
-};
+pub use pipeline::{Occupancy, PipelineConfig, PipelinedProtocolDriver, TokenProfile};
 pub use protocol::{OperandResult, ProtocolDriver};
 pub use sliced::{rebased_reference_driver, SlicedProtocolDriver};
 pub use timing::ThroughputReport;

@@ -36,8 +36,8 @@
 //! initial spacer, verifying it — costs about as much as a one-lane
 //! word, so at the small batches of low-load serving it would be most
 //! of the service time.  The driver therefore keeps its built worker
-//! drivers between calls, in one pool per kind (scalar, sliced and the
-//! two pipelined drivers) of at most [`ParallelProtocolDriver::threads`]
+//! drivers between calls, in one pool per kind (scalar, sliced and
+//! pipelined) of at most [`ParallelProtocolDriver::threads`]
 //! entries.  A worker is checked out at the start of a call and only
 //! built when its pool is empty, which makes construction lazy: the
 //! first call pays for the workers it uses.  After the run a worker
@@ -88,7 +88,7 @@ use sta::GracePeriod;
 
 use crate::{
     DualRailError, DualRailNetlist, OperandResult, PipelineConfig, PipelinedProtocolDriver,
-    ProtocolDriver, SlicedPipelinedProtocolDriver, SlicedProtocolDriver, WavefrontTiming,
+    ProtocolDriver, SlicedProtocolDriver,
 };
 
 /// Results of one sharded workload run: every operand's full
@@ -141,11 +141,6 @@ pub struct ParallelProtocolDriver<'a> {
     /// driver and verified by every worker after every cycle.
     snapshot: Arc<[Logic]>,
     grace: Option<GracePeriod>,
-    /// Wavefront timing bounds for the pipelined entry points, computed
-    /// once at construction (workers carry no library reference); the
-    /// analysis error, if any, is deferred until a pipelined run asks
-    /// for the bounds.
-    timing: Result<WavefrontTiming, DualRailError>,
     check_monotonic: bool,
     /// Shared metrics registry + prefix; when set, every worker driver
     /// attaches protocol- and engine-level instruments under identical
@@ -162,7 +157,6 @@ struct Pools<'a> {
     scalar: Pool<ProtocolDriver<'a>>,
     sliced: Pool<SlicedProtocolDriver<'a>>,
     pipelined: Pool<PipelinedProtocolDriver<'a>>,
-    pipelined_sliced: Pool<SlicedPipelinedProtocolDriver<'a>>,
 }
 
 impl Pools<'_> {
@@ -170,7 +164,6 @@ impl Pools<'_> {
         self.scalar.clear();
         self.sliced.clear();
         self.pipelined.clear();
-        self.pipelined_sliced.clear();
     }
 }
 
@@ -237,7 +230,6 @@ impl<'a> ParallelProtocolDriver<'a> {
         let reference = ProtocolDriver::from_program(circuit, Arc::clone(&program))?;
         let snapshot = reference.quiescent_snapshot();
         drop(reference);
-        let timing = WavefrontTiming::compute(circuit, library, &snapshot);
         // The C-element latches and completion tree make the netlist
         // sequential; sharding is sound because — and only because — the
         // verified reset-phase contract restores one quiescent state per
@@ -248,7 +240,6 @@ impl<'a> ParallelProtocolDriver<'a> {
             sim,
             snapshot,
             grace,
-            timing,
             check_monotonic: true,
             metrics: None,
             pools: Pools::default(),
@@ -348,7 +339,7 @@ impl<'a> ParallelProtocolDriver<'a> {
             driver.enable_reset_contract(Arc::clone(&self.snapshot));
             Ok(driver)
         })
-        .map(ParallelProtocolRun::from_results)
+        .map(|(results, _)| ParallelProtocolRun::from_results(results))
     }
 
     /// Like [`ParallelProtocolDriver::run_workload`], but on the
@@ -384,7 +375,7 @@ impl<'a> ParallelProtocolDriver<'a> {
                 self.check_monotonic,
             )
         })
-        .map(ParallelProtocolRun::from_results)
+        .map(|(results, _)| ParallelProtocolRun::from_results(results))
     }
 
     /// Like [`ParallelProtocolDriver::run_workload`], but each worker
@@ -405,66 +396,27 @@ impl<'a> ParallelProtocolDriver<'a> {
     /// Returns the per-operand results plus a [`PipelineReport`]
     /// separating token latency (spacer→valid, unchanged by
     /// pipelining) from cycle time (injection-to-injection interval,
-    /// the pipelined figure of merit).
+    /// the pipelined figure of merit), with the most tokens any train's
+    /// schedule held in flight at once.
     ///
     /// # Errors
     ///
-    /// Propagates the wavefront timing analysis error if the bounds
-    /// could not be computed at construction, and otherwise the first
-    /// per-token error in operand order — the typed hazard,
-    /// divergence and contract violations of
-    /// [`PipelinedProtocolDriver::run_train`].
+    /// The first per-token error in operand order — the invalid-margin
+    /// rejection and the typed hazard, divergence and contract
+    /// violations of [`PipelinedProtocolDriver::run_train`].
     pub fn run_workload_pipelined(
         &self,
         operands: &[Vec<bool>],
         config: PipelineConfig,
     ) -> Result<(ParallelProtocolRun, PipelineReport), DualRailError> {
-        let timing = self.timing.clone()?;
-        let results = self.run_sharded(operands, Some(config), &self.pools.pipelined, |sim| {
-            let mut driver = PipelinedProtocolDriver::from_simulator_with_timing(
-                self.circuit,
-                sim,
-                timing.clone(),
-                config,
-            )?;
-            driver.set_monotonicity_check(self.check_monotonic);
-            Ok(driver)
-        })?;
-        let report = pipeline_report(&results, &timing, config);
-        Ok((ParallelProtocolRun::from_results(results), report))
-    }
-
-    /// The 64-wide analogue of
-    /// [`ParallelProtocolDriver::run_workload_pipelined`]: each worker
-    /// cuts its claimed trains into words of up to 64 operand lanes and
-    /// drives whole words through the wavefront schedule
-    /// ([`SlicedPipelinedProtocolDriver::run_train`]), composing the
-    /// word-level and wavefront-level throughput multipliers.
-    /// `config.train_length` counts **words** per train here.
-    ///
-    /// # Errors
-    ///
-    /// As [`ParallelProtocolDriver::run_workload_pipelined`];
-    /// divergence is word- and train-global (lanes share one event
-    /// budget).
-    pub fn run_workload_pipelined_sliced(
-        &self,
-        operands: &[Vec<bool>],
-        config: PipelineConfig,
-    ) -> Result<(ParallelProtocolRun, PipelineReport), DualRailError> {
-        let timing = self.timing.clone()?;
-        let pool = &self.pools.pipelined_sliced;
-        let results = self.run_sharded(operands, Some(config), pool, |sim| {
-            SlicedPipelinedProtocolDriver::from_sliced_simulator(
-                self.circuit,
-                sim,
-                Arc::clone(&self.snapshot),
-                timing.clone(),
-                config,
-                self.check_monotonic,
-            )
-        })?;
-        let report = pipeline_report(&results, &timing, config);
+        let (results, occupancy) =
+            self.run_sharded(operands, Some(config), &self.pools.pipelined, |sim| {
+                let mut driver =
+                    PipelinedProtocolDriver::from_simulator(self.circuit, sim, config)?;
+                driver.set_monotonicity_check(self.check_monotonic);
+                Ok(driver)
+            })?;
+        let report = pipeline_report(&results, occupancy);
         Ok((ParallelProtocolRun::from_results(results), report))
     }
 
@@ -476,16 +428,17 @@ impl<'a> ParallelProtocolDriver<'a> {
     /// load-balance, a `pipeline` claims fixed trains of
     /// `train_length` settles).  A driver that fails to build reports
     /// its error for every operand it would have run; the first error
-    /// in operand order is returned.  Afterwards each worker whose
-    /// chunks all succeeded and which sits idle at the canonical
-    /// snapshot goes back into `pool`; the rest are dropped.
+    /// in operand order is returned, and otherwise the results with the
+    /// most tokens any worker held in flight at once.  Afterwards each
+    /// worker whose chunks all succeeded and which sits idle at the
+    /// canonical snapshot goes back into `pool`; the rest are dropped.
     fn run_sharded<D: WorkerDriver<'a> + Send>(
         &self,
         operands: &[Vec<bool>],
         pipeline: Option<PipelineConfig>,
         pool: &Pool<D>,
         build: impl Fn(D::Replica) -> Result<D, DualRailError> + Sync,
-    ) -> Result<Vec<OperandResult>, DualRailError> {
+    ) -> Result<(Vec<OperandResult>, usize), DualRailError> {
         let metrics = self.metrics.as_ref().map(|(registry, prefix)| {
             let scope = <D::Replica as Replica<'a>>::SCOPE;
             tm_obs::ProtocolMetrics::register(registry, &format!("{prefix}.{scope}.protocol"))
@@ -507,14 +460,16 @@ impl<'a> ParallelProtocolDriver<'a> {
             },
             Worker::run,
         );
+        let mut occupancy = 0;
         for worker in workers {
-            if let (true, Ok(driver)) = (worker.clean, worker.driver) {
-                if driver.is_idle_at(&self.snapshot) {
+            if let Ok(mut driver) = worker.driver {
+                occupancy = occupancy.max(driver.take_occupancy());
+                if worker.clean && driver.is_idle_at(&self.snapshot) {
                     pool.put(driver, self.threads());
                 }
             }
         }
-        results.into_iter().collect()
+        Ok((results.into_iter().collect::<Result<_, _>>()?, occupancy))
     }
 }
 
@@ -544,8 +499,8 @@ impl<'a, D: WorkerDriver<'a>> Worker<D> {
 }
 
 /// A per-worker protocol driver the sharded entry points replicate
-/// (implemented by the scalar, sliced and both wavefront-pipelined
-/// drivers, next to each driver).
+/// (implemented by the scalar, sliced and wavefront-pipelined drivers,
+/// next to each driver).
 pub(crate) trait WorkerDriver<'a> {
     /// The engine instance the driver wraps.
     type Replica: Replica<'a>;
@@ -568,6 +523,13 @@ pub(crate) trait WorkerDriver<'a> {
     fn pipeline(&self) -> Option<PipelineConfig> {
         None
     }
+
+    /// The most tokens the driver held in flight at once over the
+    /// chunks run since the last call, resetting the count; 0 for the
+    /// serial drivers, which report no pipeline.
+    fn take_occupancy(&mut self) -> usize {
+        0
+    }
 }
 
 /// Spreads a chunk-level outcome over the chunk's `len` operands: the
@@ -586,12 +548,9 @@ pub(crate) fn per_operand(
 /// Aggregates per-token results into the pipelined throughput report:
 /// token latency from the spacer→valid measurements, cycle time from
 /// the per-token injection intervals (each train's last token closes on
-/// the train's drain, so the cycle entries sum to the makespan).
-fn pipeline_report(
-    results: &[OperandResult],
-    timing: &WavefrontTiming,
-    config: PipelineConfig,
-) -> PipelineReport {
+/// the train's drain, so the cycle entries sum to the makespan), and the
+/// measured `occupancy`.
+fn pipeline_report(results: &[OperandResult], occupancy: usize) -> PipelineReport {
     let token_latency =
         LatencyReport::from_latencies(results.iter().map(|r| r.s_to_v_latency_ps).collect());
     let cycles: Vec<f64> = results.iter().map(|r| r.cycle_time_ps).collect();
@@ -601,7 +560,7 @@ fn pipeline_report(
         cycle: LatencyReport::from_latencies(cycles),
         makespan_ps,
         tokens: results.len(),
-        occupancy: timing.occupancy_cap(config.separation_margin, config.occupancy),
+        occupancy,
     }
 }
 

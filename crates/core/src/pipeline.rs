@@ -1,8 +1,8 @@
-//! Wavefront-pipelined four-phase protocol drivers: the spacer wave of
-//! operand `k` chases its data wave through the combinational cloud, and
-//! operand `k+1` is injected as soon as the separation bounds and the
-//! input-stage acknowledge allow — instead of waiting for the global
-//! `done` round-trip.
+//! The wavefront-pipelined four-phase protocol driver: the spacer wave
+//! of operand `k` chases its data wave through the combinational cloud,
+//! and operand `k+1` is injected as soon as the measured separation
+//! gaps and the input-stage acknowledge allow — instead of waiting for
+//! the global `done` round-trip.
 //!
 //! # Why the serial driver leaves throughput on the table
 //!
@@ -17,13 +17,13 @@
 //! interval then shrinks from a full round-trip to the sum of two
 //! *local* separation gaps.
 //!
-//! # Profile-guided scheduling (the scalar driver)
+//! # Profile-guided scheduling
 //!
 //! Static separation bounds must pair the *latest* possible activity
 //! of one token against the *earliest* possible activity of the next,
 //! over all operand pairs.  On datapaths whose final decision gates
 //! have a wide arrival spread (a majority-vote comparator does), that
-//! pessimism eats most of the pipelining headroom.  The scalar
+//! pessimism eats most of the pipelining headroom.  The
 //! [`PipelinedProtocolDriver`] therefore runs every train twice:
 //!
 //! 1. **Profile pass** — each token runs the exact contract-mode
@@ -73,56 +73,25 @@
 //! sharded runs bit-identical at any thread count.  Injection is
 //! additionally gated on the dynamic input-stage acknowledge (instant
 //! when fault-free; under faults the train parks there until the
-//! watchdog trips).
-//!
-//! # The static wavefront schedule (the sliced driver)
-//!
-//! The 64-lane word driver cannot profile per-lane first-change times
-//! (lanes share one event queue), so it schedules whole words with
-//! *static* bounds from [`WavefrontTiming`]:
-//!
-//! * **settle bound** — the maximum arrival time over every net
-//!   ([`sta::ArrivalAnalysis`]);
-//! * **per-net first-change times** `er(n)` — an exact subset-
-//!   enumeration DP for the earliest time net `n` can first leave its
-//!   spacer level after a valid edge at the inputs;
-//! * **rise gap** `g₂` — the maximum over cells of
-//!   `latest(output) − earliest(any input)`;
-//! * **spacer gap** `g₁` — the smallest valid→spacer edge offset
-//!   (found by bisection over a fall-propagation DP, with C-elements
-//!   modelled as last-input-wins) such that every cell finishes its
-//!   rise response before the return-to-zero wave first touches it.
-//!
-//! At [`Occupancy::Two`] the gaps constrain every cell; at
-//! [`Occupancy::Max`] they constrain the **datapath cone** only (the
-//! completion network is observer logic, so its `done` pulses may
-//! merge between tokens — which is why per-token `done` latency is
-//! unavailable there, and why real wavefront-pipelined silicon uses
-//! per-stage completion).  Decoding uses the recorded transition
-//! stream: each departure from the spacer level is attributed to the
-//! unique injection window `[A_k + er(n), A_k + lf(n)]` it falls into,
-//! the following return-to-zero belongs to the same token, and any
-//! transition outside every window, double activation, or missing or
-//! surplus `done` edge is a typed violation.  A train-level
-//! transition-count audit (each observed rail switches exactly twice
-//! per token that activated it) cross-checks the attribution against
-//! the simulator's own activity counters in both drivers.
+//! watchdog trips).  A train-level transition-count audit (each
+//! observed rail switches exactly twice per token that activated it)
+//! cross-checks the replay against the simulator's own activity
+//! counters.
 
 use std::sync::Arc;
 
 use celllib::Library;
 use gatesim::{lane_mask, Logic, Simulator, SlicedSimulator, StepOutcome};
-use netlist::{topological_order, CellKind, NetId, NetlistError, LANES};
-use sta::ArrivalAnalysis;
+use netlist::{CellKind, NetId};
 
 use crate::parallel::{per_operand, WorkerDriver};
 use crate::protocol::ProtocolDriver;
 use crate::sliced::SlicedProtocolDriver;
 use crate::{decode, DualRailError, DualRailNetlist, DualRailValue, OperandResult};
 
-/// Slack added to window comparisons to absorb float rounding in the
-/// event times (delays accumulate in different association orders than
-/// the static bounds).
+/// Slack on the replay match: a replayed event lands at `A_k + d₁ + …`
+/// while its profile time is `d₁ + …` shifted by `A_k` afterwards, and
+/// the two float sums may round differently.
 const WINDOW_EPS_PS: f64 = 1e-6;
 
 /// Fixed pad added to every measured separation gap so two wavefronts
@@ -141,39 +110,32 @@ pub enum Occupancy {
     /// are bit-identical to the unpipelined engines by construction.
     One,
     /// At most two tokens in flight: a data wave and its predecessor's
-    /// return-to-zero wave overlap, but each next injection waits for
-    /// the token before last to drain completely.  The scalar driver
-    /// enforces the cap on its measured schedule; the sliced driver
-    /// widens the static injection interval to half the single-token
-    /// span `g₁ + settle`.  Completion stays token-resolved in both.
+    /// return-to-zero wave overlap, but each next injection also waits
+    /// for the token before last to drain completely, on top of the
+    /// measured gaps.
     #[default]
     Two,
-    /// As deep as the separation constraints allow.  The scalar driver
-    /// injects at the measured per-token-pair gaps, which cover every
-    /// cell including the completion network, so `done` stays
-    /// token-resolved even here.  The sliced driver injects at the
-    /// static interval `g₁ + g₂` computed over the **datapath cone**
-    /// only, leaving the completion network's observer cone
-    /// unconstrained: a single global `done` cannot token-resolve a
-    /// multi-token word train (which is why genuinely
-    /// wavefront-pipelined silicon uses per-stage completion), so its
-    /// `done` pulses may merge, [`OperandResult::done_latency_ps`] is
-    /// `None`, and correctness rests on the injection-window
-    /// attribution plus the train-level transition-count audit.
+    /// As deep as the measured separation gaps allow: each token is
+    /// injected at its per-token-pair gap alone.  The gaps cover every
+    /// cell, the completion network included, so `done` stays
+    /// token-resolved and per-token `done` latency is reported here
+    /// too.
     Max,
 }
 
-/// Tuning knobs for the wavefront-pipelined drivers.
+/// Tuning knobs for the wavefront-pipelined driver.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PipelineConfig {
     /// Tokens kept in flight (see [`Occupancy`]).
     pub occupancy: Occupancy,
-    /// Tokens per train for the scalar driver; **words** per train for
-    /// the sliced driver.  A train shares in-flight circuit state, so
-    /// it is the unit of sharding and of the transition-count audit.
+    /// Tokens per train.  A train shares in-flight circuit state, so it
+    /// is the unit of profiling, of sharding and of the
+    /// transition-count audit.
     pub train_length: usize,
-    /// Fractional safety margin applied to the static scheduling
-    /// bounds (the settle bound and both separation gaps).
+    /// Fractional safety margin applied to both measured separation
+    /// gaps of every token pair (before the fixed slice pad).  Must be
+    /// finite and non-negative; [`PipelinedProtocolDriver::run_train`]
+    /// rejects any other value before simulating.
     pub separation_margin: f64,
     /// **Test hook.** When `false`, the driver never drives the spacer
     /// phase and injects each next token directly on top of the
@@ -195,338 +157,18 @@ impl Default for PipelineConfig {
     }
 }
 
-/// The static timing bounds behind the wavefront schedule, computed
-/// once per circuit and shared (cheaply cloned) by every worker.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WavefrontTiming {
-    /// Maximum arrival time over every net, in picoseconds (margin not
-    /// yet applied).
-    max_internal_ps: f64,
-    /// Raw spacer→valid separation `g₂` over **every** cell: max of
-    /// `latest(output) − earliest(any input)`, clamped at zero.  Used
-    /// at [`Occupancy::Two`], where `done` stays token-resolved.
-    rise_gap_raw_ps: f64,
-    /// Raw valid→spacer separation `g₁` over every cell, from the
-    /// fall-propagation bisection.
-    fall_gap_raw_ps: f64,
-    /// Raw `g₂` over the datapath cone only (cells whose output cone
-    /// reaches a decoded output or probe; the completion network's
-    /// observer cone is left unconstrained).  Used at
-    /// [`Occupancy::Max`], where `done` pulses may merge.
-    rise_gap_deep_raw_ps: f64,
-    /// Raw `g₁` over the datapath cone only.
-    fall_gap_deep_raw_ps: f64,
-    /// Earliest first change per net after a phase edge at the primary
-    /// inputs (infinity = never changes).
-    earliest_ps: Vec<f64>,
-    /// Latest change per net (the arrival bound).
-    latest_ps: Vec<f64>,
-    /// Outputs of the input-stage cells (cells all of whose inputs are
-    /// primary inputs — the C-element latch layer on latched circuits),
-    /// whose return to the quiescent state is the dynamic injection
-    /// acknowledge.
-    stage_nets: Vec<NetId>,
-}
-
-impl WavefrontTiming {
-    /// Runs the static analyses over `circuit` at `library`'s delays:
-    /// a max-arrival pass ([`ArrivalAnalysis`]), an exact
-    /// earliest-first-change pass over the settled `spacer` state, and
-    /// a bisection for the valid→spacer gap.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DualRailError::Timing`] if timing analysis fails and
-    /// [`DualRailError::Netlist`] if the netlist has a combinational
-    /// cycle.
-    #[allow(clippy::too_many_lines)]
-    pub fn compute(
-        circuit: &DualRailNetlist,
-        library: &Library,
-        spacer: &[Logic],
-    ) -> Result<Self, DualRailError> {
-        let nl = circuit.netlist();
-        let analysis = ArrivalAnalysis::compute(nl, library)?;
-        let order = topological_order(nl).map_err(|e| NetlistError::CombinationalCycle(e.net))?;
-        let latest: Vec<f64> = (0..nl.net_count())
-            .map(|i| analysis.arrival_ps(NetId::from_index(i)))
-            .collect();
-        // Every pass below reads each cell's delay; query the voltage
-        // model once per cell rather than once per cell per pass.
-        let delay: Vec<f64> = nl
-            .cells()
-            .map(|(_, cell)| library.cell_delay(cell.kind(), nl.net(cell.output()).fanout().max(1)))
-            .collect();
-
-        // Earliest first change after a phase edge at the primary
-        // inputs; infinity = "never changes" (tie cells, nets behind
-        // flip-flops).
-        let mut earliest = vec![f64::INFINITY; nl.net_count()];
-        for net in nl.primary_inputs() {
-            earliest[net.index()] = 0.0;
+impl PipelineConfig {
+    /// Rejects a separation margin that is not a finite non-negative
+    /// fraction (the rule lint `T203` applies statically): the gaps it
+    /// widens would be infinite or NaN, and so would every injection
+    /// time after the first.
+    fn check(&self) -> Result<(), DualRailError> {
+        let margin = self.separation_margin;
+        if margin.is_finite() && margin >= 0.0 {
+            Ok(())
+        } else {
+            Err(DualRailError::InvalidSeparationMargin(margin))
         }
-        for &cid in &order {
-            let cell = nl.cell(cid);
-            let kind = cell.kind();
-            let inputs = cell.inputs();
-            if inputs.is_empty() || kind == CellKind::Dff {
-                continue;
-            }
-            let out = cell.output();
-            let delay = delay[cid.index()];
-            let known = inputs.iter().all(|&n| spacer[n.index()].is_known());
-            let best = match spacer[out.index()].to_option() {
-                Some(quiet) if known => {
-                    // Exact: try every non-empty input subset (<= 5
-                    // inputs in the library, so <= 31 subsets).
-                    let base = inputs.iter().enumerate().fold(0u32, |acc, (i, &n)| {
-                        acc | u32::from(spacer[n.index()].is_one()) << i
-                    });
-                    let mut flipped = [false; CellKind::MAX_INPUTS];
-                    let mut best = f64::INFINITY;
-                    for subset in 1u32..(1 << inputs.len()) {
-                        for (i, bit) in flipped.iter_mut().enumerate().take(inputs.len()) {
-                            *bit = (base ^ subset) >> i & 1 == 1;
-                        }
-                        if kind.eval(&flipped[..inputs.len()], Some(quiet)) == quiet {
-                            continue;
-                        }
-                        let ready = (0..inputs.len())
-                            .filter(|&i| subset >> i & 1 == 1)
-                            .map(|i| earliest[inputs[i].index()])
-                            .fold(f64::NEG_INFINITY, f64::max);
-                        best = best.min(ready + delay);
-                    }
-                    best
-                }
-                // An X in the settled state: fall back to the
-                // conservative single-input bound.
-                _ => {
-                    inputs
-                        .iter()
-                        .map(|&n| earliest[n.index()])
-                        .fold(f64::INFINITY, f64::min)
-                        + delay
-                }
-            };
-            let slot = &mut earliest[out.index()];
-            *slot = slot.min(best);
-        }
-
-        // The datapath cone: nets that (transitively) feed a decoded
-        // output or probe.  Everything else — in practice the
-        // per-output OR gates and the C-element completion tree behind
-        // `done` — is observer logic: it reads the datapath but feeds
-        // nothing the decode depends on, so [`Occupancy::Max`] leaves
-        // it unconstrained and lets its pulses merge.
-        let mut in_cone = vec![false; nl.net_count()];
-        for &net in &circuit.observed_output_nets() {
-            in_cone[net.index()] = true;
-        }
-        for (_, signal) in circuit.probes() {
-            in_cone[signal.positive.index()] = true;
-            in_cone[signal.negative.index()] = true;
-        }
-        for &cid in order.iter().rev() {
-            let cell = nl.cell(cid);
-            if in_cone[cell.output().index()] {
-                for &input in cell.inputs() {
-                    in_cone[input.index()] = true;
-                }
-            }
-        }
-
-        // Rise gap g₂: the previous (spacer) wave must have drained
-        // from a cell's output before the next (valid) wave can reach
-        // any of its inputs — over every cell for the strict gap, over
-        // the datapath cone for the deep gap.
-        let mut rise_gap = 0.0f64;
-        let mut rise_gap_deep = 0.0f64;
-        for (_, cell) in nl.cells() {
-            if cell.inputs().is_empty() || cell.kind() == CellKind::Dff {
-                continue;
-            }
-            let latest_out = latest[cell.output().index()];
-            let earliest_in = cell
-                .inputs()
-                .iter()
-                .map(|&n| earliest[n.index()])
-                .fold(f64::INFINITY, f64::min);
-            if earliest_in.is_finite() {
-                rise_gap = rise_gap.max(latest_out - earliest_in);
-                if in_cone[cell.output().index()] {
-                    rise_gap_deep = rise_gap_deep.max(latest_out - earliest_in);
-                }
-            }
-        }
-
-        // Spacer gap g₁: the smallest valid→spacer offset such that
-        // the return-to-zero wave first touches every cell only after
-        // the cell's rise response has fully settled.  Falls propagate
-        // along the fastest sensitised path (min over inputs) except
-        // through C-elements, which fall only once their *last* input
-        // has fallen; no net can fall before it first rose.
-        let feasible = |fall: &mut [f64], gap: f64, deep_only: bool| -> bool {
-            fall.fill(f64::INFINITY);
-            for net in nl.primary_inputs() {
-                fall[net.index()] = gap;
-            }
-            for &cid in &order {
-                let cell = nl.cell(cid);
-                let inputs = cell.inputs();
-                if inputs.is_empty() || cell.kind() == CellKind::Dff {
-                    continue;
-                }
-                let out = cell.output();
-                let combine = match cell.kind() {
-                    CellKind::CElement2 | CellKind::CElement3 => inputs
-                        .iter()
-                        .map(|&n| fall[n.index()])
-                        .fold(f64::NEG_INFINITY, f64::max),
-                    _ => inputs
-                        .iter()
-                        .map(|&n| fall[n.index()])
-                        .fold(f64::INFINITY, f64::min),
-                };
-                let bound = (combine + delay[cid.index()]).max(earliest[out.index()]);
-                let slot = &mut fall[out.index()];
-                *slot = slot.min(bound);
-            }
-            nl.cells().all(|(_, cell)| {
-                if cell.inputs().is_empty() || cell.kind() == CellKind::Dff {
-                    return true;
-                }
-                if deep_only && !in_cone[cell.output().index()] {
-                    return true;
-                }
-                let need = latest[cell.output().index()];
-                let first_fall = cell
-                    .inputs()
-                    .iter()
-                    .map(|&n| fall[n.index()])
-                    .fold(f64::INFINITY, f64::min);
-                first_fall + 1e-9 >= need
-            })
-        };
-        let mut fall = vec![f64::INFINITY; nl.net_count()];
-        let mut bisect = |deep_only: bool| -> f64 {
-            if feasible(&mut fall, 0.0, deep_only) {
-                return 0.0;
-            }
-            // The settle bound is always feasible; bisect down from it.
-            let (mut lo, mut hi) = (0.0f64, analysis.max_internal_ps());
-            for _ in 0..60 {
-                let mid = f64::midpoint(lo, hi);
-                if feasible(&mut fall, mid, deep_only) {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-            }
-            hi
-        };
-        let fall_gap = bisect(false);
-        let fall_gap_deep = bisect(true);
-
-        let stage_nets = nl
-            .cells()
-            .filter(|(_, c)| {
-                !c.inputs().is_empty() && c.inputs().iter().all(|&n| nl.is_primary_input(n))
-            })
-            .map(|(_, c)| c.output())
-            .collect();
-
-        Ok(Self {
-            max_internal_ps: analysis.max_internal_ps(),
-            rise_gap_raw_ps: rise_gap.max(0.0),
-            fall_gap_raw_ps: fall_gap,
-            rise_gap_deep_raw_ps: rise_gap_deep.max(0.0),
-            fall_gap_deep_raw_ps: fall_gap_deep,
-            earliest_ps: earliest,
-            latest_ps: latest,
-            stage_nets,
-        })
-    }
-
-    /// Upper bound on when a single phase edge stops propagating,
-    /// with the safety margin applied.
-    #[must_use]
-    pub fn settle_bound_ps(&self, margin: f64) -> f64 {
-        self.max_internal_ps * (1.0 + margin)
-    }
-
-    /// The valid→spacer separation `g₁` at `occupancy`, with the
-    /// margin applied: the spacer edge of a token trails its data edge
-    /// by this offset.  [`Occupancy::Max`] constrains the datapath
-    /// cone only; the other depths constrain every cell.
-    #[must_use]
-    pub fn spacer_gap_ps(&self, margin: f64, occupancy: Occupancy) -> f64 {
-        let raw = match occupancy {
-            Occupancy::Max => self.fall_gap_deep_raw_ps,
-            _ => self.fall_gap_raw_ps,
-        };
-        raw * (1.0 + margin)
-    }
-
-    /// The spacer→valid separation `g₂` at `occupancy`, with the
-    /// margin applied: the next token's data edge trails this token's
-    /// spacer edge by at least this offset.
-    #[must_use]
-    pub fn rise_gap_ps(&self, margin: f64, occupancy: Occupancy) -> f64 {
-        let raw = match occupancy {
-            Occupancy::Max => self.rise_gap_deep_raw_ps,
-            _ => self.rise_gap_raw_ps,
-        };
-        raw * (1.0 + margin)
-    }
-
-    /// The minimum injection-to-injection interval `g₁ + g₂` at full
-    /// depth — the pipelined cycle-time bound at [`Occupancy::Max`]
-    /// that the benchmarks report against the serial four-phase cycle.
-    #[must_use]
-    pub fn min_interval_ps(&self, margin: f64) -> f64 {
-        self.spacer_gap_ps(margin, Occupancy::Max) + self.rise_gap_ps(margin, Occupancy::Max)
-    }
-
-    /// The scheduled injection interval at `occupancy`: the depth's
-    /// minimum `g₁ + g₂`, widened as needed so no more than the
-    /// configured number of tokens is in flight at once.
-    #[must_use]
-    pub fn injection_interval_ps(&self, margin: f64, occupancy: Occupancy) -> f64 {
-        let span = self.spacer_gap_ps(margin, occupancy) + self.settle_bound_ps(margin);
-        match occupancy {
-            Occupancy::One => span,
-            Occupancy::Two => {
-                let min =
-                    self.spacer_gap_ps(margin, occupancy) + self.rise_gap_ps(margin, occupancy);
-                min.max(span / 2.0)
-            }
-            Occupancy::Max => self.min_interval_ps(margin),
-        }
-    }
-
-    /// The number of tokens actually in flight under the scheduled
-    /// interval at `occupancy` (a token occupies the circuit from its
-    /// injection until its spacer wave has settled).
-    #[must_use]
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    pub fn occupancy_cap(&self, margin: f64, occupancy: Occupancy) -> usize {
-        let span = self.spacer_gap_ps(margin, occupancy) + self.settle_bound_ps(margin);
-        let interval = self.injection_interval_ps(margin, occupancy);
-        ((span / interval).ceil() as usize).max(1)
-    }
-
-    /// The `[er(n), lf(n)]` first-change window of `net` relative to an
-    /// injection edge — the attribution window for transition decode.
-    #[must_use]
-    pub fn rise_window_ps(&self, net: NetId) -> (f64, f64) {
-        (self.earliest_ps[net.index()], self.latest_ps[net.index()])
-    }
-
-    /// Outputs of the input-stage cells (the dynamic-acknowledge set).
-    #[must_use]
-    pub fn stage_nets(&self) -> &[NetId] {
-        &self.stage_nets
     }
 }
 
@@ -540,9 +182,10 @@ fn active_level(quiet: Logic) -> Logic {
     }
 }
 
-/// One attributed activation of a watched net: when it left its spacer
-/// level and (once drained) when it returned.
-type Activation = (f64, Option<f64>);
+/// One activation of a watched net, phase-relative: when the data wave
+/// moved it off its spacer level and when the return-to-zero wave
+/// brought it back.
+type Activation = (f64, f64);
 
 /// One token's measured wave profile from the profile pass of
 /// [`PipelinedProtocolDriver`]: per-net change times for the data wave
@@ -668,6 +311,20 @@ impl WavefrontSchedule {
         self.spacer_at.push(a_k + self.widen(g1));
         self.drain_ps.push(profile.drain_rel_ps);
     }
+
+    /// The most tokens in flight at once: token `k` occupies the
+    /// circuit from its injection `A_k` until its spacer wave has
+    /// drained at `B_k + drain_k`, so the count peaks at an injection.
+    fn occupancy(&self) -> usize {
+        (0..self.inject_at.len())
+            .map(|k| {
+                (0..=k)
+                    .filter(|&j| self.spacer_at[j] + self.drain_ps[j] > self.inject_at[k])
+                    .count()
+            })
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 /// A token's profile restricted to the decode nets, slot by slot.
@@ -726,13 +383,16 @@ fn log_nets(watched: &[NetId], snapshot: &[Logic]) -> Vec<(NetId, Logic)> {
         .collect()
 }
 
-/// The input-stage acknowledge set: each stage net with its quiescent
-/// level.
-fn stage_levels(timing: &WavefrontTiming, snapshot: &[Logic]) -> Vec<(NetId, Logic)> {
-    timing
-        .stage_nets
-        .iter()
-        .map(|&n| (n, snapshot[n.index()]))
+/// The input-stage acknowledge set: the output of every cell whose
+/// inputs are all primary inputs (the C-element latch layer on latched
+/// circuits), with its quiescent level.  The stage's return to that
+/// level is the dynamic injection acknowledge.
+fn stage_levels(nl: &netlist::Netlist, snapshot: &[Logic]) -> Vec<(NetId, Logic)> {
+    nl.cells()
+        .filter(|(_, c)| {
+            !c.inputs().is_empty() && c.inputs().iter().all(|&n| nl.is_primary_input(n))
+        })
+        .map(|(_, c)| (c.output(), snapshot[c.output().index()]))
         .collect()
 }
 
@@ -795,88 +455,7 @@ fn run_slices_until(
     Ok(())
 }
 
-/// Attributes one net's transition stream to injection windows: each
-/// departure from the spacer level must land inside exactly one token's
-/// `[A_k + er, A_k + lf]` window, and the following return-to-zero
-/// belongs to the same token.
-///
-/// Consecutive windows are disjoint by construction (the injection
-/// interval exceeds the per-net spread `lf − er`), so the attribution
-/// is unambiguous; every transition that defies it is a typed
-/// [`DualRailError::ProtocolViolation`].
-fn attribute_stream(
-    net: NetId,
-    quiet: Logic,
-    events: &[(f64, Logic)],
-    inject_at: &[f64],
-    window: (f64, f64),
-) -> Result<Vec<Option<Activation>>, DualRailError> {
-    let m = inject_at.len();
-    let (er, lf) = window;
-    let mut activations: Vec<Option<Activation>> = vec![None; m];
-    let mut cursor = 0usize;
-    let mut pending: Option<usize> = None;
-    for &(t, v) in events {
-        if v == Logic::Unknown {
-            return Err(DualRailError::ProtocolViolation {
-                description: format!(
-                    "net {} went X at {t:.1} ps during a pipelined train",
-                    net.index()
-                ),
-            });
-        }
-        if v == quiet {
-            let Some(k) = pending.take() else {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!(
-                        "net {} returned to spacer at {t:.1} ps without a preceding departure",
-                        net.index()
-                    ),
-                });
-            };
-            activations[k]
-                .as_mut()
-                .expect("departure recorded for pending token")
-                .1 = Some(t);
-        } else {
-            if pending.is_some() {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!(
-                        "net {} left spacer twice at {t:.1} ps without returning — a \
-                         wavefront hazard corrupted the handshake",
-                        net.index()
-                    ),
-                });
-            }
-            while cursor < m && t > inject_at[cursor] + lf + WINDOW_EPS_PS {
-                cursor += 1;
-            }
-            if cursor >= m || t + WINDOW_EPS_PS < inject_at[cursor] + er {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!(
-                        "net {} switched at {t:.1} ps outside every injection window — a \
-                         wavefront hazard corrupted the handshake",
-                        net.index()
-                    ),
-                });
-            }
-            if activations[cursor].is_some() {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!(
-                        "net {} switched twice within one injection window at {t:.1} ps — a \
-                         wavefront hazard corrupted the handshake",
-                        net.index()
-                    ),
-                });
-            }
-            activations[cursor] = Some((t, None));
-            pending = Some(cursor);
-        }
-    }
-    Ok(activations)
-}
-
-/// One token reconstructed from the attributed transition stream.
+/// One token decoded from its profiled activations.
 struct TokenView {
     outputs: Vec<bool>,
     one_of_n: Vec<(String, usize)>,
@@ -886,17 +465,13 @@ struct TokenView {
     v_to_s_latency_ps: f64,
 }
 
-/// Reconstructs and decodes one token from its per-net activations,
-/// replicating the serial driver's codeword rules and latency
-/// definitions exactly.
-#[allow(clippy::too_many_lines)]
+/// Decodes one token from its per-net activations, replicating the
+/// serial driver's codeword rules and latency definitions exactly.
 fn assemble_token(
     circuit: &DualRailNetlist,
     snapshot: &[Logic],
     observed: &[NetId],
     done_net: Option<NetId>,
-    inject_ps: f64,
-    spacer_ps: f64,
     activity: &dyn Fn(NetId) -> Option<Activation>,
 ) -> Result<TokenView, DualRailError> {
     let level = |net: NetId| -> Logic {
@@ -918,15 +493,13 @@ fn assemble_token(
     let mut v_to_s = 0.0f64;
     for &net in observed {
         if let Some((rise, fall)) = activity(net) {
-            s_to_v = s_to_v.max(rise - inject_ps);
-            if let Some(fall) = fall {
-                v_to_s = v_to_s.max(fall - spacer_ps);
-            }
+            s_to_v = s_to_v.max(rise);
+            v_to_s = v_to_s.max(fall);
         }
     }
     let done_latency_ps = match done_net {
         Some(done) => match activity(done) {
-            Some((rise, _)) => Some(rise - inject_ps),
+            Some((rise, _)) => Some(rise),
             None => {
                 return Err(DualRailError::ProtocolViolation {
                     description: "done failed to rise after a valid codeword".to_string(),
@@ -946,13 +519,13 @@ fn assemble_token(
     })
 }
 
-/// Train-level transition-count audit shared by the scalar and sliced
-/// drivers: every observed rail must have switched exactly twice per
-/// token that activated it, across the whole drained train.
+/// Train-level transition-count audit: every observed rail must have
+/// switched exactly twice per token that activated it, across the
+/// whole drained train.
 fn audit_transition_counts(
     circuit: &DualRailNetlist,
     snapshot: &[Logic],
-    tokens: &[&TokenView],
+    tokens: &[TokenView],
     transitions: impl Fn(NetId) -> u64,
 ) -> Result<(), DualRailError> {
     let n = tokens.len();
@@ -1003,38 +576,14 @@ fn audit_transition_counts(
     Ok(())
 }
 
-/// Checks the `done` edge totals over a drained train: exactly one rise
-/// and one fall per token.
-fn audit_done_edges(
-    activations: &[Option<Activation>],
-    tokens: usize,
-) -> Result<(), DualRailError> {
-    let rises = activations.iter().flatten().count();
-    let falls = activations
-        .iter()
-        .flatten()
-        .filter(|(_, fall)| fall.is_some())
-        .count();
-    if rises != tokens || falls != tokens {
-        return Err(DualRailError::ProtocolViolation {
-            description: format!(
-                "done rose {rises} times and fell {falls} times across a train of {tokens} \
-                 tokens — wavefront overlap corrupted the handshake"
-            ),
-        });
-    }
-    Ok(())
-}
-
 /// The full set of nets the transition log must observe, without
-/// duplicates: decoded outputs, probes and — when completion is
-/// token-resolved — `done`.
-fn watched_nets(circuit: &DualRailNetlist, include_done: bool) -> Vec<NetId> {
+/// duplicates: decoded outputs, probes and `done`.
+fn watched_nets(circuit: &DualRailNetlist) -> Vec<NetId> {
     let probes = circuit
         .probes()
         .iter()
         .flat_map(|(_, signal)| [signal.positive, signal.negative]);
-    let done = circuit.done().filter(|_| include_done);
+    let done = circuit.done();
     let mut watched: Vec<NetId> = Vec::new();
     for net in circuit
         .observed_output_nets()
@@ -1308,8 +857,8 @@ fn profile_word(
 }
 
 /// The wavefront-pipelined four-phase protocol driver: tokens flow
-/// through the datapath separated by the static `g₁`/`g₂` gaps and the
-/// dynamic input-stage acknowledge instead of the global `done`
+/// through the datapath separated by the measured `g₁`/`g₂` gaps and
+/// the dynamic input-stage acknowledge instead of the global `done`
 /// round-trip.
 ///
 /// See the [module documentation](self) for the schedule and the
@@ -1319,7 +868,6 @@ fn profile_word(
 #[derive(Debug)]
 pub struct PipelinedProtocolDriver<'a> {
     inner: ProtocolDriver<'a>,
-    timing: WavefrontTiming,
     config: PipelineConfig,
     snapshot: Arc<[Logic]>,
     horizon_ps: Option<f64>,
@@ -1343,29 +891,28 @@ pub struct PipelinedProtocolDriver<'a> {
     /// Whether a non-empty fault plan is installed: faulted trains
     /// profile on the scalar simulator, where the plan lives.
     faulted: bool,
+    /// The most tokens any train run since the last
+    /// [`WorkerDriver::take_occupancy`] held in flight at once.
+    occupancy: usize,
 }
 
 impl<'a> PipelinedProtocolDriver<'a> {
-    /// Creates a pipelined driver, computing the wavefront timing
-    /// bounds from `library`'s delays.
+    /// Creates a pipelined driver at `library`'s delays.
     ///
     /// # Errors
     ///
-    /// Propagates [`ProtocolDriver::new`] initialisation errors and
-    /// [`WavefrontTiming::compute`] analysis errors.
+    /// Propagates [`ProtocolDriver::new`] initialisation errors.
     pub fn new(
         circuit: &'a DualRailNetlist,
         library: &Library,
         config: PipelineConfig,
     ) -> Result<Self, DualRailError> {
         let inner = ProtocolDriver::new(circuit, library)?;
-        let snapshot = inner.quiescent_snapshot();
-        let timing = WavefrontTiming::compute(circuit, library, &snapshot)?;
-        Self::from_driver(inner, timing, config)
+        Ok(Self::from_driver(inner, config))
     }
 
-    /// Creates a pipelined driver around an existing simulator instance
-    /// and precomputed timing bounds — the worker-side constructor for
+    /// Creates a pipelined driver around an existing simulator
+    /// instance — the worker-side constructor for
     /// [`crate::ParallelProtocolDriver::run_workload_pipelined`], whose
     /// train runner hands a worker with no pooled driver a fresh
     /// replicated simulator.
@@ -1374,33 +921,27 @@ impl<'a> PipelinedProtocolDriver<'a> {
     ///
     /// Propagates [`ProtocolDriver::from_simulator`] initialisation
     /// errors.
-    pub fn from_simulator_with_timing(
+    pub fn from_simulator(
         circuit: &'a DualRailNetlist,
         sim: Simulator<'a>,
-        timing: WavefrontTiming,
         config: PipelineConfig,
     ) -> Result<Self, DualRailError> {
         let inner = ProtocolDriver::from_simulator(circuit, sim)?;
-        Self::from_driver(inner, timing, config)
+        Ok(Self::from_driver(inner, config))
     }
 
-    fn from_driver(
-        mut inner: ProtocolDriver<'a>,
-        timing: WavefrontTiming,
-        config: PipelineConfig,
-    ) -> Result<Self, DualRailError> {
+    fn from_driver(mut inner: ProtocolDriver<'a>, config: PipelineConfig) -> Self {
         let snapshot = inner.quiescent_snapshot();
         inner.enable_reset_contract(Arc::clone(&snapshot));
         let circuit = inner.circuit();
         let observed = circuit.observed_output_nets();
-        let decode_nets = watched_nets(circuit, true);
+        let decode_nets = watched_nets(circuit);
         let decode_slots = slots_of(decode_nets.iter().copied(), circuit.netlist().net_count());
         let log_nets = log_nets(&decode_nets, &snapshot);
-        let stage = stage_levels(&timing, &snapshot);
+        let stage = stage_levels(circuit.netlist(), &snapshot);
         let cells = ScheduleCells::new(circuit.netlist());
-        Ok(Self {
+        Self {
             inner,
-            timing,
             config,
             snapshot,
             horizon_ps: None,
@@ -1412,13 +953,8 @@ impl<'a> PipelinedProtocolDriver<'a> {
             cells,
             profiler: None,
             faulted: false,
-        })
-    }
-
-    /// The wavefront timing bounds this driver schedules against.
-    #[must_use]
-    pub fn timing(&self) -> &WavefrontTiming {
-        &self.timing
+            occupancy: 0,
+        }
     }
 
     /// The configuration this driver runs under.
@@ -1438,7 +974,7 @@ impl<'a> PipelinedProtocolDriver<'a> {
     /// slides the absolute horizon to `A_k + horizon_ps` at every
     /// injection, so a faulted token trips the watchdog at the same
     /// per-token bound the serial driver enforces.  The horizon must
-    /// exceed the injection interval plus the settle bound, or
+    /// exceed a token's injection interval plus its settle time, or
     /// fault-free trains will trip it.
     pub fn set_time_horizon_ps(&mut self, horizon_ps: f64) {
         self.horizon_ps = Some(horizon_ps);
@@ -1501,7 +1037,7 @@ impl<'a> PipelinedProtocolDriver<'a> {
         self.inner.set_fault_plan(plan)?;
         self.snapshot = self.inner.quiescent_snapshot();
         self.log_nets = log_nets(&self.decode_nets, &self.snapshot);
-        self.stage = stage_levels(&self.timing, &self.snapshot);
+        self.stage = stage_levels(self.inner.circuit().netlist(), &self.snapshot);
         Ok(())
     }
 
@@ -1517,21 +1053,26 @@ impl<'a> PipelinedProtocolDriver<'a> {
     ///
     /// # Errors
     ///
-    /// The first failing check aborts the train: decode errors
-    /// ([`DualRailError::IllegalCodeword`]), protocol violations
-    /// (missing `done` edges, out-of-window or surplus transitions, an
-    /// input stage that never acknowledges), watchdog trips
+    /// Returns [`DualRailError::InvalidSeparationMargin`] before any
+    /// simulation if the configured margin is negative, infinite or
+    /// NaN.  Otherwise the first failing check aborts the train: decode
+    /// errors ([`DualRailError::IllegalCodeword`]), protocol violations
+    /// (missing `done` edges, mistimed or surplus transitions, an input
+    /// stage that never acknowledges), watchdog trips
     /// ([`DualRailError::SimulationDiverged`]) and reset-contract
     /// breaks ([`DualRailError::SpacerStateMismatch`]).
     pub fn run_train(
         &mut self,
         operands: &[Vec<bool>],
     ) -> Result<Vec<OperandResult>, DualRailError> {
+        self.config.check()?;
         if self.config.occupancy == Occupancy::One {
-            return operands
+            let results = operands
                 .iter()
                 .map(|operand| self.inner.apply_operand(operand))
-                .collect();
+                .collect::<Result<Vec<_>, _>>()?;
+            self.occupancy = self.occupancy.max(usize::from(!results.is_empty()));
+            return Ok(results);
         }
         self.run_train_wavefront(operands)
     }
@@ -1546,6 +1087,7 @@ impl<'a> PipelinedProtocolDriver<'a> {
             return Ok(Vec::new());
         }
         let (schedule, times) = self.profile_and_schedule(operands)?;
+        let occupancy = schedule.occupancy();
         let WavefrontSchedule {
             inject_at,
             spacer_at,
@@ -1686,22 +1228,18 @@ impl<'a> PipelinedProtocolDriver<'a> {
         for token in &times {
             let activity = |net: NetId| -> Option<Activation> {
                 let rise = token.rise[slot(net)];
-                rise.is_finite()
-                    .then(|| (rise, Some(token.fall[slot(net)])))
+                rise.is_finite().then(|| (rise, token.fall[slot(net)]))
             };
             tokens.push(assemble_token(
                 circuit,
                 &self.snapshot,
                 &self.observed,
                 done_net,
-                0.0,
-                0.0,
                 &activity,
             )?);
         }
         if self.inner.monotonicity_check() {
-            let refs: Vec<&TokenView> = tokens.iter().collect();
-            audit_transition_counts(circuit, &self.snapshot, &refs, |net| {
+            audit_transition_counts(circuit, &self.snapshot, &tokens, |net| {
                 self.inner.sim().net_transitions(net)
             })?;
         }
@@ -1716,6 +1254,7 @@ impl<'a> PipelinedProtocolDriver<'a> {
         // The replay's queue burst would otherwise stay allocated
         // through the next train's profile pass and add to its peak.
         self.inner.sim_mut().shrink_queue();
+        self.occupancy = self.occupancy.max(occupancy);
 
         Ok(tokens
             .into_iter()
@@ -2003,6 +1542,10 @@ impl<'a> WorkerDriver<'a> for PipelinedProtocolDriver<'a> {
     fn pipeline(&self) -> Option<PipelineConfig> {
         Some(self.config)
     }
+
+    fn take_occupancy(&mut self) -> usize {
+        std::mem::take(&mut self.occupancy)
+    }
 }
 
 /// Marker in a per-net log-slot table for nets the log does not record.
@@ -2015,471 +1558,4 @@ fn slots_of(nets: impl Iterator<Item = NetId>, net_count: usize) -> Vec<u32> {
         slots[net.index()] = u32::try_from(slot).expect("nets fit in u32");
     }
     slots
-}
-
-/// 64-lane transition recorder: diffs each log net's value/unknown
-/// bit-planes per time slice and logs per-lane changes.
-struct SlicedTransitionLog<'n> {
-    nets: &'n [(NetId, Logic)],
-    /// Per net: its slot in `nets` (see [`slots_of`]).
-    slots: &'n [u32],
-    planes: Vec<(u64, u64)>,
-    /// `events[slot][lane]`.
-    events: Vec<Vec<Vec<(f64, Logic)>>>,
-}
-
-impl<'n> SlicedTransitionLog<'n> {
-    fn new(nets: &'n [(NetId, Logic)], slots: &'n [u32], sim: &SlicedSimulator<'_>) -> Self {
-        Self {
-            nets,
-            slots,
-            planes: nets.iter().map(|&(net, _)| sim.plane(net)).collect(),
-            events: vec![vec![Vec::new(); LANES]; nets.len()],
-        }
-    }
-
-    /// The slot of `net`, if the log records it.
-    fn slot(&self, net: NetId) -> Option<usize> {
-        let slot = self.slots[net.index()];
-        (slot != NO_SLOT).then_some(slot as usize)
-    }
-
-    fn sample(&mut self, sim: &SlicedSimulator<'_>) {
-        let now = sim.now_ps();
-        for (i, &(net, _)) in self.nets.iter().enumerate() {
-            let plane = sim.plane(net);
-            let old = self.planes[i];
-            if plane == old {
-                continue;
-            }
-            let mut diff = (plane.0 ^ old.0) | (plane.1 ^ old.1);
-            while diff != 0 {
-                let lane = diff.trailing_zeros() as usize;
-                diff &= diff - 1;
-                let bit = 1u64 << lane;
-                let value = if plane.1 & bit != 0 {
-                    Logic::Unknown
-                } else if plane.0 & bit != 0 {
-                    Logic::One
-                } else {
-                    Logic::Zero
-                };
-                self.events[i][lane].push((now, value));
-            }
-            self.planes[i] = plane;
-        }
-    }
-}
-
-/// Advances the sliced clock to `time_ps` if it is not already there.
-fn catch_up_sliced(sim: &mut SlicedSimulator<'_>, time_ps: f64) {
-    if time_ps > sim.now_ps() {
-        sim.advance_to(time_ps);
-    }
-}
-
-/// Sliced counterpart of [`run_slices_until`].
-fn run_word_slices_until(
-    sim: &mut SlicedSimulator<'_>,
-    log: &mut SlicedTransitionLog,
-    until_ps: f64,
-    budget: &mut u64,
-) -> Result<(), DualRailError> {
-    while let Some(next) = sim.next_event_time_ps() {
-        if next > until_ps {
-            break;
-        }
-        match sim.step_time_slice(budget) {
-            StepOutcome::Advanced { .. } => log.sample(sim),
-            StepOutcome::Idle => break,
-            StepOutcome::LimitReached => return Err(DualRailError::SimulationDiverged),
-        }
-    }
-    catch_up_sliced(sim, until_ps);
-    Ok(())
-}
-
-/// The wavefront-pipelined driver on the 64-wide bit-sliced event
-/// kernel: each **word** of up to [`LANES`] operands is one token, and
-/// words flow through the datapath under the same static gap schedule
-/// and dynamic input-stage acknowledge as the scalar
-/// [`PipelinedProtocolDriver`] — composing the word-level and
-/// wavefront-level throughput multipliers.
-#[derive(Debug)]
-pub struct SlicedPipelinedProtocolDriver<'a> {
-    inner: SlicedProtocolDriver<'a>,
-    timing: WavefrontTiming,
-    config: PipelineConfig,
-    horizon_ps: Option<f64>,
-    /// The decoded output nets, in the serial driver's order.
-    observed: Vec<NetId>,
-    /// The transition log's nets (see [`log_nets`]); `done` only when
-    /// completion is token-resolved.
-    log_nets: Vec<(NetId, Logic)>,
-    /// Per net: its slot in `log_nets`.
-    log_slots: Vec<u32>,
-    /// The input-stage acknowledge set with its quiescent levels.
-    stage: Vec<(NetId, Logic)>,
-}
-
-impl<'a> SlicedPipelinedProtocolDriver<'a> {
-    /// Creates a sliced pipelined driver around a fresh sliced
-    /// simulator instance, a canonical quiescent `snapshot` and
-    /// precomputed `timing` bounds (see
-    /// [`SlicedProtocolDriver::from_sliced_simulator`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates initialisation errors from the underlying word
-    /// driver.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sim` does not simulate this circuit's netlist.
-    pub fn from_sliced_simulator(
-        circuit: &'a DualRailNetlist,
-        sim: SlicedSimulator<'a>,
-        snapshot: Arc<[Logic]>,
-        timing: WavefrontTiming,
-        config: PipelineConfig,
-        check_monotonic: bool,
-    ) -> Result<Self, DualRailError> {
-        let inner =
-            SlicedProtocolDriver::from_sliced_simulator(circuit, sim, snapshot, check_monotonic)?;
-        let mut driver = Self {
-            inner,
-            timing,
-            config,
-            horizon_ps: None,
-            observed: circuit.observed_output_nets(),
-            log_nets: Vec::new(),
-            log_slots: Vec::new(),
-            stage: Vec::new(),
-        };
-        driver.snapshot_constants();
-        Ok(driver)
-    }
-
-    /// Recomputes the constants that depend on the quiescent snapshot.
-    fn snapshot_constants(&mut self) {
-        let circuit = self.inner.circuit();
-        let snapshot = self.inner.snapshot();
-        let resolve_done = self.config.occupancy == Occupancy::Two;
-        self.log_nets = log_nets(&watched_nets(circuit, resolve_done), snapshot);
-        let net_count = circuit.netlist().net_count();
-        self.log_slots = slots_of(self.log_nets.iter().map(|&(net, _)| net), net_count);
-        self.stage = stage_levels(&self.timing, snapshot);
-    }
-
-    /// The wavefront timing bounds this driver schedules against.
-    #[must_use]
-    pub fn timing(&self) -> &WavefrontTiming {
-        &self.timing
-    }
-
-    /// Caps the merged events processed per word token; the budget
-    /// reseeds at every injection.
-    pub fn set_event_limit(&mut self, limit: u64) {
-        self.inner.set_event_limit(limit);
-    }
-
-    /// Attaches the word driver's instrument set (see
-    /// [`SlicedProtocolDriver::attach_metrics`]); the pipelined
-    /// schedule additionally counts injection-gate stall slices under
-    /// `"<prefix>.protocol.stall_slices"`.
-    pub fn attach_metrics(&mut self, registry: &tm_obs::MetricsRegistry, prefix: &str) {
-        self.inner.attach_metrics(registry, prefix);
-    }
-
-    /// Detaches all instruments after flushing pending engine deltas.
-    pub fn detach_metrics(&mut self) {
-        self.inner.detach_metrics();
-    }
-
-    /// Whether an instrument set is currently attached.
-    #[must_use]
-    pub fn metrics_attached(&self) -> bool {
-        self.inner.metrics_attached()
-    }
-
-    /// Bounds each word token by simulated time; the schedule slides
-    /// the absolute horizon to `A_k + horizon_ps` at every injection.
-    pub fn set_time_horizon_ps(&mut self, horizon_ps: f64) {
-        self.horizon_ps = Some(horizon_ps);
-        self.inner.set_time_horizon_ps(horizon_ps);
-    }
-
-    /// Installs a gate-level fault plan on every lane (see
-    /// [`SlicedProtocolDriver::set_fault_plan`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DualRailError::SimulationDiverged`] if the faulted
-    /// circuit cannot settle.
-    pub fn set_fault_plan(&mut self, plan: &gatesim::FaultPlan) -> Result<(), DualRailError> {
-        self.inner.set_fault_plan(plan)?;
-        self.snapshot_constants();
-        Ok(())
-    }
-
-    /// Runs one train of operands (cut into words of up to [`LANES`]
-    /// lanes at fixed positions) through the wavefront schedule and
-    /// returns the per-operand results in operand order.
-    ///
-    /// At [`Occupancy::One`] each word instead runs the serial
-    /// four-phase word cycle, bit-identical to
-    /// [`SlicedProtocolDriver::apply_word`].
-    ///
-    /// # Errors
-    ///
-    /// The first failing check aborts the train, as in
-    /// [`PipelinedProtocolDriver::run_train`]; divergence is word- and
-    /// train-global (lanes share one event budget).
-    pub fn run_train(
-        &mut self,
-        operands: &[Vec<bool>],
-    ) -> Result<Vec<OperandResult>, DualRailError> {
-        if self.config.occupancy == Occupancy::One {
-            let mut results = Vec::with_capacity(operands.len());
-            for word in operands.chunks(LANES) {
-                for result in self.inner.apply_word(word) {
-                    results.push(result?);
-                }
-            }
-            return Ok(results);
-        }
-        self.run_train_wavefront(operands)
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn run_train_wavefront(
-        &mut self,
-        operands: &[Vec<bool>],
-    ) -> Result<Vec<OperandResult>, DualRailError> {
-        let expected = self.inner.circuit().input_count();
-        for operand in operands {
-            if operand.len() != expected {
-                return Err(DualRailError::OperandWidthMismatch {
-                    expected,
-                    got: operand.len(),
-                });
-            }
-        }
-        if operands.is_empty() {
-            return Ok(Vec::new());
-        }
-        let circuit = self.inner.circuit();
-        let done_net = circuit.done();
-        let resolve_done = self.config.occupancy == Occupancy::Two;
-        let attributed_done = if resolve_done { done_net } else { None };
-        let margin = self.config.separation_margin;
-        let spacer_gap = self.timing.spacer_gap_ps(margin, self.config.occupancy);
-        let interval = self
-            .timing
-            .injection_interval_ps(margin, self.config.occupancy);
-        let snapshot = Arc::clone(self.inner.snapshot());
-
-        {
-            let sim = self.inner.sim_mut();
-            if sim.has_pending_events() {
-                return Err(DualRailError::SimulationDiverged);
-            }
-            sim.clear_watch_activity();
-            sim.reset_time();
-            sim.reset_lane_events();
-        }
-        let mut log = SlicedTransitionLog::new(&self.log_nets, &self.log_slots, self.inner.sim());
-
-        let words: Vec<&[Vec<bool>]> = operands.chunks(LANES).collect();
-        let m = words.len();
-        let lanes_used = words[0].len();
-        let mut inject_at: Vec<f64> = Vec::with_capacity(m);
-        let mut spacer_at: Vec<f64> = Vec::with_capacity(m);
-        let mut scheduled = 0.0f64;
-        let mut budget = self.inner.sim().event_limit();
-        for word in &words {
-            if let Some(horizon) = self.horizon_ps {
-                self.inner
-                    .sim_mut()
-                    .set_time_horizon_ps(scheduled + horizon);
-            }
-            budget = self.inner.sim().event_limit();
-            catch_up_sliced(self.inner.sim_mut(), scheduled);
-            let a_k = self.inner.sim().now_ps();
-            let run = gatesim::lane_mask(word.len());
-            self.inner.drive_valid_planes(word, run);
-            inject_at.push(a_k);
-            let b_k = a_k + spacer_gap;
-            run_word_slices_until(self.inner.sim_mut(), &mut log, b_k, &mut budget)?;
-            if self.config.gate_injection {
-                self.inner.drive_spacer_planes(lane_mask(LANES));
-            }
-            spacer_at.push(b_k);
-            let next = a_k + interval;
-            run_word_slices_until(self.inner.sim_mut(), &mut log, next, &mut budget)?;
-            if self.config.gate_injection {
-                loop {
-                    if self.stage.iter().all(|&(net, quiet)| {
-                        (0..LANES).all(|lane| self.inner.sim().value(net, lane) == quiet)
-                    }) {
-                        break;
-                    }
-                    let sim = self.inner.sim_mut();
-                    match sim.step_time_slice(&mut budget) {
-                        StepOutcome::Advanced { .. } => {
-                            if let Some(metrics) = self.inner.protocol_metrics() {
-                                metrics.stall_slices.inc();
-                            }
-                            log.sample(self.inner.sim());
-                        }
-                        StepOutcome::Idle => {
-                            return Err(DualRailError::ProtocolViolation {
-                                description: "input stage failed to acknowledge the spacer \
-                                              before the next injection"
-                                    .to_string(),
-                            })
-                        }
-                        StepOutcome::LimitReached => return Err(DualRailError::SimulationDiverged),
-                    }
-                }
-            }
-            scheduled = next.max(self.inner.sim().now_ps());
-        }
-
-        loop {
-            let sim = self.inner.sim_mut();
-            match sim.step_time_slice(&mut budget) {
-                StepOutcome::Advanced { .. } => log.sample(self.inner.sim()),
-                StepOutcome::Idle => break,
-                StepOutcome::LimitReached => return Err(DualRailError::SimulationDiverged),
-            }
-        }
-        let drain_end = self.inner.sim().now_ps();
-
-        // Train-end state audit, lane by lane.
-        for lane in 0..lanes_used {
-            decode::check_outputs_at_spacer(self.inner.circuit(), self.inner.lane_reader(lane))?;
-            if let Some(done) = done_net {
-                if !self.inner.sim().value(done, lane).is_zero() {
-                    return Err(DualRailError::ProtocolViolation {
-                        description: "done failed to fall after the spacer phase".to_string(),
-                    });
-                }
-            }
-        }
-        if let Some((lane, net, expected, got)) = self
-            .inner
-            .sim()
-            .lane_state_mismatch(&snapshot, gatesim::lane_mask(LANES))
-        {
-            return Err(DualRailError::SpacerStateMismatch {
-                description: format!(
-                    "net {net} settled to {got:?} after the train drained (lane {lane}) but \
-                     the quiescent snapshot holds {expected:?}"
-                ),
-            });
-        }
-
-        // Per-lane attribution and decode.  A lane is active in every
-        // word except possibly a trailing partial word, so its token
-        // list is a prefix of the word list.
-        let mut lane_tokens: Vec<Vec<TokenView>> = Vec::with_capacity(lanes_used);
-        for lane in 0..lanes_used {
-            let active_words = words.iter().filter(|w| lane < w.len()).count();
-            let mut matrix: Vec<Vec<Option<Activation>>> = Vec::with_capacity(log.nets.len());
-            for (i, &(net, quiet)) in log.nets.iter().enumerate() {
-                matrix.push(attribute_stream(
-                    net,
-                    quiet,
-                    &log.events[i][lane],
-                    &inject_at[..active_words],
-                    self.timing.rise_window_ps(net),
-                )?);
-            }
-            let activity = |net: NetId, k: usize| log.slot(net).and_then(|slot| matrix[slot][k]);
-            let mut tokens = Vec::with_capacity(active_words);
-            for k in 0..active_words {
-                tokens.push(assemble_token(
-                    circuit,
-                    &snapshot,
-                    &self.observed,
-                    attributed_done,
-                    inject_at[k],
-                    spacer_at[k],
-                    &|net| activity(net, k),
-                )?);
-            }
-            if let Some(done) = attributed_done {
-                let empty = Vec::new();
-                audit_done_edges(log.slot(done).map_or(&empty, |s| &matrix[s]), active_words)?;
-            }
-            if self.inner.monotonicity_check() {
-                let refs: Vec<&TokenView> = tokens.iter().collect();
-                audit_transition_counts(circuit, &snapshot, &refs, |net| {
-                    self.inner.sim().watch_transitions(net, lane)
-                })?;
-            }
-            lane_tokens.push(tokens);
-        }
-
-        // Results in operand order: word-major, lane-minor; the cycle
-        // time of a word is shared by all its lanes.
-        let mut results = Vec::with_capacity(operands.len());
-        for (w, word) in words.iter().enumerate() {
-            let next = inject_at.get(w + 1).copied().unwrap_or(drain_end);
-            let cycle_time_ps = next - inject_at[w];
-            for lane in lane_tokens.iter_mut().take(word.len()) {
-                let token = std::mem::replace(
-                    &mut lane[w],
-                    TokenView {
-                        outputs: Vec::new(),
-                        one_of_n: Vec::new(),
-                        probes: Vec::new(),
-                        s_to_v_latency_ps: 0.0,
-                        done_latency_ps: None,
-                        v_to_s_latency_ps: 0.0,
-                    },
-                );
-                results.push(OperandResult {
-                    outputs: token.outputs,
-                    one_of_n: token.one_of_n,
-                    s_to_v_latency_ps: token.s_to_v_latency_ps,
-                    done_latency_ps: token.done_latency_ps,
-                    v_to_s_latency_ps: token.v_to_s_latency_ps,
-                    cycle_time_ps,
-                    probes: token.probes,
-                });
-            }
-        }
-
-        // Slice stepping bypasses the per-settle metrics flush; ship
-        // the train's engine deltas (and count its completed cycles)
-        // before handing results back.
-        if let Some(metrics) = self.inner.protocol_metrics() {
-            metrics.cycles.add(results.len() as u64);
-        }
-        self.inner.sim_mut().flush_metrics();
-
-        Ok(results)
-    }
-}
-
-impl<'a> WorkerDriver<'a> for SlicedPipelinedProtocolDriver<'a> {
-    type Replica = SlicedSimulator<'a>;
-
-    fn run_chunk(&mut self, train: &[Vec<bool>]) -> Vec<Result<OperandResult, DualRailError>> {
-        per_operand(self.run_train(train), train.len())
-    }
-
-    fn attach_protocol_metrics(&mut self, handles: tm_obs::ProtocolMetrics) {
-        self.inner.attach_protocol_metrics(handles);
-    }
-
-    fn is_idle_at(&self, snapshot: &[Logic]) -> bool {
-        self.inner.is_idle_at(snapshot)
-    }
-
-    fn pipeline(&self) -> Option<PipelineConfig> {
-        Some(self.config)
-    }
 }

@@ -195,12 +195,6 @@ impl<'a> SlicedProtocolDriver<'a> {
         self.metrics.is_some()
     }
 
-    /// The attached protocol instrument set, if any (the sliced
-    /// pipelined driver records stall slices through it).
-    pub(crate) fn protocol_metrics(&self) -> Option<&tm_obs::ProtocolMetrics> {
-        self.metrics.as_deref()
-    }
-
     /// Installs a [`tm_obs::WaveProbe`] following a single `lane` of
     /// the word; see [`gatesim::SlicedSimulator::attach_wave_probe`].
     ///
@@ -240,9 +234,9 @@ impl<'a> SlicedProtocolDriver<'a> {
         Ok(())
     }
 
-    /// The circuit this word driver exercises (for the wavefront
-    /// pipelined driver, which layers a different schedule over the
-    /// same per-lane helpers).
+    /// The circuit this word driver exercises (for the pipelined
+    /// driver's profile pass, which layers its own phase schedule over
+    /// the same per-lane helpers).
     pub(crate) fn circuit(&self) -> &'a DualRailNetlist {
         self.circuit
     }
@@ -253,8 +247,8 @@ impl<'a> SlicedProtocolDriver<'a> {
     }
 
     /// Mutable access to the underlying sliced simulator — the
-    /// wavefront-pipelined driver steps it slice by slice instead of
-    /// settling whole phases.
+    /// pipelined driver's profile pass steps it slice by slice instead
+    /// of settling whole phases.
     pub(crate) fn sim_mut(&mut self) -> &mut SlicedSimulator<'a> {
         &mut self.sim
     }
@@ -262,11 +256,6 @@ impl<'a> SlicedProtocolDriver<'a> {
     /// The canonical quiescent snapshot every lane verifies against.
     pub(crate) fn snapshot(&self) -> &Arc<[Logic]> {
         &self.snapshot
-    }
-
-    /// Whether the per-phase monotonicity check is enabled.
-    pub(crate) fn monotonicity_check(&self) -> bool {
-        self.check_monotonic
     }
 
     /// Drives the spacer codeword on the lanes in `lanes`, in the

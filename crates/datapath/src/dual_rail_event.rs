@@ -228,10 +228,9 @@ impl<'a> DualRailInference<'a> {
     ///
     /// # Errors
     ///
-    /// See [`DualRailInference::run_workload`], plus the typed wavefront
-    /// hazard violations of [`dualrail::PipelinedProtocolDriver`] and
-    /// the timing-analysis error if the wavefront bounds could not be
-    /// computed.
+    /// See [`DualRailInference::run_workload`], plus the invalid-margin
+    /// rejection and the typed wavefront hazard violations of
+    /// [`dualrail::PipelinedProtocolDriver`].
     pub fn run_workload_pipelined(
         &self,
         workload: &InferenceWorkload,
@@ -255,29 +254,6 @@ impl<'a> DualRailInference<'a> {
         self.run_encoded(masks, feature_vectors, |driver, operands| {
             driver.run_workload_pipelined(operands, config)
         })
-    }
-
-    /// Like [`DualRailInference::run_workload_pipelined`], but 64
-    /// operand lanes per word on the bit-sliced wavefront driver
-    /// ([`dualrail::SlicedPipelinedProtocolDriver`]), composing the
-    /// word-level and wavefront-level throughput multipliers;
-    /// `config.train_length` counts words per train.  At
-    /// [`dualrail::Occupancy::Max`] the global `done` pulses of a word
-    /// train may merge, so `done_latency` is `None` there.
-    ///
-    /// # Errors
-    ///
-    /// See [`DualRailInference::run_workload_pipelined`].
-    pub fn run_workload_pipelined_sliced(
-        &self,
-        workload: &InferenceWorkload,
-        config: dualrail::PipelineConfig,
-    ) -> Result<(DualRailRun, PipelineReport), DatapathError> {
-        self.run_encoded(
-            workload.masks(),
-            workload.feature_vectors(),
-            |driver, operands| driver.run_workload_pipelined_sliced(operands, config),
-        )
     }
 
     /// The one body every entry point shares: encode each feature

@@ -74,9 +74,9 @@ pub use report::{DiagCode, Diagnostic, Family, LintReport, LintStats, Severity};
 /// Tunables for the timing family.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LintConfig {
-    /// Fractional slack the wavefront pipeline adds to its static
-    /// separation bounds (mirrors
-    /// `dualrail::PipelineConfig::separation_margin`).
+    /// Fractional slack widening the settle bound in the `T203` skew
+    /// check, as the wavefront pipeline widens its measured separation
+    /// gaps (mirrors `dualrail::PipelineConfig::separation_margin`).
     pub separation_margin: f64,
 }
 

@@ -93,10 +93,9 @@ pub enum DiagCode {
     /// directions conflict under its pin unateness, so its output can
     /// glitch and the wavefront timing bounds do not apply.
     DirectionConflict,
-    /// `T203` — the static separation interval the wavefront pipeline
-    /// relies on is degenerate (constant outputs / `done`, or an
-    /// invalid separation margin), or a join's min/max path skew
-    /// exceeds the margin-widened settle bound.
+    /// `T203` — wavefront separation is degenerate (constant outputs /
+    /// `done`, or an invalid separation margin), or a join's min/max
+    /// path skew exceeds the margin-widened settle bound.
     SeparationHazard,
 }
 

@@ -1,8 +1,8 @@
-//! Timing/hazard family (`T201`–`T203`): the static facts behind the
-//! wavefront-pipelining bounds.  Monotonic switching needs unate cells
-//! (`T201`) joined consistently (`T202`); the pipelined drivers' static
-//! separation interval needs outputs that actually transition and a
-//! sane margin (`T203`).
+//! Timing/hazard family (`T201`–`T203`): the static facts behind
+//! wavefront pipelining.  Monotonic switching needs unate cells
+//! (`T201`) joined consistently (`T202`); separating the wavefronts
+//! needs outputs that actually transition, a sane margin, and join
+//! skews inside the margin-widened settle bound (`T203`).
 
 use celllib::Library;
 use dualrail::unate::check_unate;
@@ -171,8 +171,8 @@ fn separation(
         }
     }
 
-    // Min/max arrival cross-check: the margin-widened settle bound the
-    // pipelined drivers inject at must cover the worst min/max path
+    // Min/max arrival cross-check: the margin-widened settle bound
+    // must cover the worst min/max path
     // skew joining at any cell, or a second token's fastest edge could
     // reach a join before the first token's slowest edge has cleared.
     let Ok(arrival) = ArrivalAnalysis::compute(nl, library) else {

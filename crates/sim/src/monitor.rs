@@ -275,9 +275,10 @@ pub struct PipelineReport {
     pub makespan_ps: f64,
     /// Tokens covered by the report.
     pub tokens: usize,
-    /// The occupancy cap the run actually used (1 = serial delegation,
-    /// 2 = wavefront overlap — the structural depth of the single-stage
-    /// datapath).
+    /// The most tokens the run's schedules held in flight at once,
+    /// maximised over trains (a token is in flight from its injection
+    /// until its spacer wave has drained): 1 under serial delegation,
+    /// at most 2 at `Occupancy::Two`, 0 for an empty run.
     pub occupancy: usize,
 }
 

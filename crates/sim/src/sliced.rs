@@ -606,13 +606,6 @@ impl<'a> SlicedSimulator<'a> {
         self.horizon_ps
     }
 
-    /// Raw `(value, unknown)` bit-planes of `net` — one bit per lane.
-    /// Cheap bulk read for observers that diff all 64 lanes at once.
-    #[must_use]
-    pub fn plane(&self, net: NetId) -> (u64, u64) {
-        self.planes[net.index()]
-    }
-
     /// Current value of `net` on `lane`.
     #[must_use]
     pub fn value(&self, net: NetId, lane: usize) -> Logic {
@@ -882,8 +875,8 @@ impl<'a> SlicedSimulator<'a> {
     /// Processes exactly one **time slice**: every pending event sharing
     /// the earliest pending timestamp, with due SEU pulses interleaved in
     /// time order — the bit-sliced counterpart of
-    /// [`crate::Simulator::step_time_slice`], and the observation
-    /// primitive behind the wavefront-pipelined word drivers.
+    /// [`crate::Simulator::step_time_slice`], and the stepping
+    /// primitive behind the pipelined driver's 64-lane profile pass.
     ///
     /// `budget` is a caller-held event allowance spanning a whole wait
     /// (seed it from [`SlicedSimulator::event_limit`]); the time horizon
@@ -1167,15 +1160,6 @@ impl<'a> SlicedSimulator<'a> {
         {
             changes.clear();
         }
-    }
-
-    /// Timestamp of the earliest queued event, if any. Wavefront
-    /// controllers peek this between
-    /// [`SlicedSimulator::step_time_slice`] calls to schedule the next
-    /// injection relative to the circuit's next intrinsic transition.
-    #[must_use]
-    pub fn next_event_time_ps(&self) -> Option<f64> {
-        self.queue.next_time_ps()
     }
 
     /// Fires every armed SEU pulse due before the next queued event:
